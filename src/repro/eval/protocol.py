@@ -130,7 +130,8 @@ def _csr_rows_concat(matrix: sp.csr_matrix,
 
 def rank_items_block(scores_block: np.ndarray, train_matrix,
                      user_ids: Optional[np.ndarray] = None,
-                     k: Optional[int] = None) -> np.ndarray:
+                     k: Optional[int] = None,
+                     item_ids: Optional[np.ndarray] = None) -> np.ndarray:
     """Top-``k`` ranked item ids for a block of users, train masked.
 
     Vectorized counterpart of :func:`rank_items`: one fancy-index masking
@@ -142,7 +143,16 @@ def rank_items_block(scores_block: np.ndarray, train_matrix,
     to mask.  ``train_matrix=None`` skips masking entirely (the serving
     tier's ``exclude_seen=False`` path), in which case ``user_ids`` may
     be omitted.
+
+    ``item_ids`` is the column map of a compact block (the ANN
+    backend's candidates): column ``j`` of row ``i`` scores item
+    ``item_ids[i, j]``, and ``-1`` marks padding.  Without it column
+    ``j`` is item ``j``.  See :func:`_rank_compact_block` for how a
+    compact block is masked and how its ties break.
     """
+    if item_ids is not None:
+        return _rank_compact_block(scores_block, item_ids, train_matrix,
+                                   user_ids, k)
     block = np.array(scores_block, copy=True)
     if train_matrix is not None:
         if user_ids is None:
@@ -160,6 +170,67 @@ def rank_items_block(scores_block: np.ndarray, train_matrix,
     part_scores = np.take_along_axis(block, part, axis=1)
     order = np.argsort(-part_scores, kind="stable", axis=1)
     return np.take_along_axis(part, order, axis=1)
+
+
+def _rank_compact_block(scores_block: np.ndarray, item_ids: np.ndarray,
+                        train_matrix, user_ids: Optional[np.ndarray],
+                        k: Optional[int]) -> np.ndarray:
+    """:func:`rank_items_block` over a ``(batch, W)`` candidate block.
+
+    Seen items are masked by sorted-key membership on ``row * num_items
+    + item`` keys (the :func:`repro.eval.metrics.block_hits` idiom), and
+    the ``argpartition`` runs over the W candidate columns only.  Among
+    exactly equal scores the lower item id ranks first, both inside the
+    top-k and at the k-th boundary, so a row's answer depends only on
+    its own candidate set and never on W or the column order.
+    ``-1`` padding scores ``-inf`` and is never returned while a row has
+    ``k`` finite candidates.
+    """
+    # a fresh negated array: masking never writes into the caller's block
+    neg = -np.asarray(scores_block)
+    item_ids = np.asarray(item_ids)
+    batch, width = neg.shape
+    if train_matrix is not None:
+        if user_ids is None:
+            raise ValueError("user_ids is required when masking against "
+                             "a train matrix")
+        user_ids = np.asarray(user_ids, dtype=np.int64)
+        seen, counts = _csr_rows_concat(train_matrix, user_ids)
+        if seen.size:
+            stride = train_matrix.shape[1]
+            rows = np.repeat(np.arange(batch, dtype=np.int64), counts)
+            seen_keys = np.sort(rows * stride + seen)
+            # only candidates some user of the block has seen need the
+            # key lookup; padding (-1) reads the last item's flag, and
+            # its key (row * stride - 1) can only alias the row above's
+            # last item, so at worst padding is masked again
+            flagged = np.zeros(stride, dtype=bool)
+            flagged[seen] = True
+            rows, cols = np.nonzero(flagged[item_ids])
+            keys = rows * stride + item_ids[rows, cols]
+            loc = np.minimum(np.searchsorted(seen_keys, keys),
+                             len(seen_keys) - 1)
+            hit = seen_keys[loc] == keys
+            neg[rows[hit], cols[hit]] = np.inf
+    if batch == 0:
+        return np.empty((0, width if k is None else k), dtype=item_ids.dtype)
+    if k is None or k >= width:
+        order = np.lexsort((item_ids, neg), axis=1)
+        return np.take_along_axis(item_ids, order, axis=1)
+    part = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    part_neg = np.take_along_axis(neg, part, axis=1)
+    boundary = part_neg.max(axis=1, keepdims=True)
+    # argpartition picks among scores equal to the k-th arbitrarily;
+    # rows where a tie straddles the cut are rare, so re-cut them one
+    # at a time by (score, item id)
+    straddles = ((neg == boundary).sum(axis=1)
+                 > (part_neg == boundary).sum(axis=1))
+    for row in np.flatnonzero(straddles):
+        part[row] = np.lexsort((item_ids[row], neg[row]))[:k]
+        part_neg[row] = neg[row, part[row]]
+    part_ids = np.take_along_axis(item_ids, part, axis=1)
+    order = np.lexsort((part_ids, part_neg), axis=1)
+    return np.take_along_axis(part_ids, order, axis=1)
 
 
 def _sorted_csr(matrix) -> sp.csr_matrix:

@@ -48,8 +48,11 @@ def normalized_edge_weights(rows: np.ndarray, cols: np.ndarray,
     Degrees are the weighted degrees induced by ``weights`` over the COO
     pattern.  This is how the augmented graphs ``G'``/``G''`` are normalized:
     degrees are computed from the *current* (detached) soft edge weights so
-    gradients flow through the edge weights but not the normalizer — see
-    DESIGN.md "Detached degree normalization".
+    gradients flow through the edge weights but not the normalizer.  The
+    normalizer then acts as a constant per-edge scale: an edge weight's
+    gradient is its own message times that scale, not also a term through
+    every degree it contributes to, which keeps the view's VJP one
+    elementwise product (``core/sampling.py`` applies it as ``scale``).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)

@@ -50,7 +50,8 @@ Service / shard contract
   ``(len(user_ids), k)`` array of item ids, best first, with each user's
   seen items masked; ranking runs through
   :func:`repro.eval.rank_items_block`, the same kernel the chunked
-  evaluator uses.
+  evaluator uses (the ANN backend passes its compact candidate block
+  with an ``item_ids`` column map).
 * Requests are partitioned into contiguous user-id chunks sized by the
   evaluator's memory-budget rule (:func:`repro.eval.auto_chunk_size`)
   and mapped over a :class:`ShardedExecutor` thread pool.  Chunk

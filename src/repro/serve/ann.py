@@ -11,26 +11,30 @@ behind ``RecommenderService(backend="ann")``:
   list (``indptr`` / ``items``).  Everything is deterministic given
   ``(item_embeddings, ANNConfig)``, so an index rebuilt from a snapshot
   equals the one stored in it.
-* **Search**: a request block scores its users against the centroids
-  (one small GEMM), probes the best clusters per user, and computes
-  exact dot products only for the member items of the probed clusters —
-  the returned block is a full-width score matrix with ``-inf`` outside
-  the candidate set, so ranking, seen-item masking and tie handling go
-  through the very same :func:`repro.eval.rank_items_block` kernel the
-  exact path uses.
-* **Adaptive probing**: clusters are probed deepest-first until the
-  candidate pool covers ``max(min_candidates, k + max seen items in the
-  block)``.  The floor guarantees two things: at small catalogs the
-  index degrades gracefully toward exact scanning (an approximation is
-  pointless below ~``min_candidates`` items), and after masking there
-  are always at least ``k`` finite candidates per user, so an ANN top-k
-  can never leak a seen item ahead of a real candidate.  Users whose
-  probed pool still falls short (pathological cluster skew) fall back to
-  an exact full-width row — correctness never depends on cluster
-  balance.
+* **Search**: a request block scores its users against the centroids,
+  probes the best clusters per user, and lays each user's candidates
+  out as one row of a compact ``(batch, W)`` id block
+  (:meth:`IVFIndex.candidates`: whole clusters in member order, ``-1``
+  padding, W the widest pool in the block).
+  :meth:`IVFIndex.candidate_scores` computes exact dot products for
+  exactly those ids, one einsum per probed cluster, and
+  :func:`repro.eval.rank_items_block` ranks the block through its
+  ``item_ids`` column map.  Every score is an einsum row-dot, never a
+  GEMM, whose rounding depends on how many rows share the call: above
+  the candidate floor a user's probes, scores and (with ties broken by
+  item id) answer are the same whatever batch the user is in.
+* **Adaptive probing**: each user's clusters are probed deepest-first
+  until that user's pool covers ``max(min_candidates, k + the user's
+  seen items)``.  The floor guarantees two things: at small catalogs
+  the index degrades to exact scanning (an approximation is pointless
+  below ~``min_candidates`` items), and after masking there are always
+  at least ``k`` finite candidates per user, so an ANN top-k can never
+  leak a seen item ahead of a real candidate.  Users whose probed pool
+  still falls short (pathological cluster skew) take the whole catalog
+  — correctness never depends on cluster balance.
 * **Probe cache**: the per-user "which clusters to probe" row depends
   only on the user's embedding and the centroids, so repeat queries for
-  hot users skip the centroid GEMM.  Cache rows are stamped with the
+  hot users skip the centroid scoring.  Cache rows are stamped with the
   index **generation**; ``invalidate()`` bumps the generation, which
   atomically invalidates every cached row — this is how
   ``partial_update``'s fold-in (which moves user vectors) keeps the
@@ -62,7 +66,7 @@ DEFAULT_RECALL_BUDGET = 0.95
 DEFAULT_PROBE_CACHE_WIDTH = 16
 
 #: the probe cache is skipped entirely above this user count (the table
-#: would cost more resident memory than the centroid GEMMs it saves)
+#: would cost more resident memory than the centroid scoring it saves)
 MAX_PROBE_CACHE_USERS = 4_000_000
 
 
@@ -172,6 +176,13 @@ class IVFIndex:
         self.sizes = np.diff(self.indptr)
         self.config = config
         self.num_items = int(len(self.items))
+        #: per item: its cluster, and whether it leads the member list
+        #: (one extra False slot, read by the ``-1`` padding id)
+        self._cluster_of = np.empty(self.num_items, dtype=np.int64)
+        self._cluster_of[self.items] = np.repeat(np.arange(len(self.sizes)),
+                                                 self.sizes)
+        self._leads = np.zeros(self.num_items + 1, dtype=bool)
+        self._leads[self.items[self.indptr[:-1][self.sizes > 0]]] = True
         #: bumped by :meth:`invalidate`; probe-cache rows from an older
         #: generation are dead (see the module docstring's race note)
         self.generation = 0
@@ -240,100 +251,136 @@ class IVFIndex:
     # search
     # ------------------------------------------------------------------ #
     def _probe_ids(self, user_vecs: np.ndarray, user_ids: np.ndarray,
-                   probes: int, generation: int) -> np.ndarray:
-        """Top-``probes`` cluster ids per user, cache-assisted.
+                   probes: np.ndarray, generation: int) -> np.ndarray:
+        """Each user's clusters, best first, cache-assisted.
 
-        ``generation`` is the index generation captured with the
-        embedding tables at request start; cache rows are only read and
-        written under that stamp.
+        Row ``i`` is meaningful up to ``probes[i]``.  ``generation`` is
+        the index generation captured with the embedding tables at
+        request start; cache rows are only read and written under that
+        stamp.  Centroid scores are einsum row-dots rather than a GEMM:
+        a GEMM rounds a row differently depending on how many rows share
+        the call, and a user's probes must not depend on batch-mates.
         """
         cache_ids, cache_gen = self._cache_ids, self._cache_gen
-        cacheable = (cache_ids is not None
-                     and probes <= cache_ids.shape[1])
-        if cacheable:
-            fresh = cache_gen[user_ids] != generation
-        else:
-            fresh = np.ones(len(user_ids), dtype=bool)
-        sel = np.empty((len(user_ids), probes), dtype=np.int64)
-        if cacheable and not fresh.all():
-            sel[~fresh] = cache_ids[user_ids[~fresh], :probes]
+        width = cache_ids.shape[1] if cache_ids is not None else 0
+        fresh = probes > width
+        if cache_ids is not None:
+            fresh |= cache_gen[user_ids] != generation
+        depth = int(probes.max())
+        sel = np.zeros((len(user_ids), depth), dtype=np.int64)
+        cached = ~fresh
+        if cached.any():
+            cols = min(depth, width)
+            sel[cached, :cols] = cache_ids[user_ids[cached], :cols]
         if fresh.any():
-            vecs = user_vecs[fresh]
-            scores = vecs @ self.centroids.T
-            depth = (min(self.nlist, cache_ids.shape[1]) if cacheable
-                     else probes)
-            depth = max(depth, probes)
-            order = np.argsort(-scores, kind="stable", axis=1)[:, :depth]
-            sel[fresh] = order[:, :probes]
-            if cacheable:
+            scores = np.einsum("nd,cd->nc", user_vecs[fresh], self.centroids)
+            order = np.argsort(-scores, kind="stable", axis=1)
+            sel[fresh] = order[:, :depth]
+            if cache_ids is not None:
                 rows = user_ids[fresh]
-                cache_ids[rows, :order.shape[1]] = order
+                cache_ids[rows] = order[:, :width]
                 # stamp only after the row content is in place; an
                 # invalidate() racing this write bumped the index
                 # generation already, so this stamp stays dead
                 cache_gen[rows] = generation
         return sel
 
-    def candidate_scores(self, user_embeddings: np.ndarray,
-                         item_embeddings: np.ndarray,
-                         user_ids: np.ndarray, k: int,
-                         seen_counts: Optional[np.ndarray] = None,
-                         generation: Optional[int] = None) -> np.ndarray:
-        """``(len(user_ids), num_items)`` scores, ``-inf`` off-candidate.
+    def candidates(self, user_embeddings: np.ndarray,
+                   user_ids: np.ndarray, k: int,
+                   seen_counts: Optional[np.ndarray] = None,
+                   generation: Optional[int] = None
+                   ) -> Optional[np.ndarray]:
+        """``(len(user_ids), W)`` candidate item ids per user, ``-1`` padded.
 
-        ``seen_counts`` (per-user exclusion sizes for the block) widens
-        the pool so masking can never starve the top-k; ``generation``
-        is the stamp captured with the embedding tables (defaults to the
-        current one).  The returned block feeds straight into
-        :func:`repro.eval.rank_items_block`.
+        W is the widest pool in the block.  ``seen_counts`` (per-user
+        exclusion sizes) widens each user's own pool so masking can
+        never starve that user's top-k; ``generation`` is the stamp
+        captured with the embedding tables (defaults to the current
+        one).  ``None`` means the candidate floor covers the catalog:
+        every user is an exact full-width scan.
         """
         if generation is None:
             generation = self.generation
         user_ids = np.asarray(user_ids, dtype=np.int64)
-        batch = len(user_ids)
-        dtype = user_embeddings.dtype
-        out = np.full((batch, self.num_items), -np.inf, dtype=dtype)
-        if batch == 0:
-            return out
-        user_vecs = np.ascontiguousarray(user_embeddings[user_ids])
-
         k = int(k)
-        need = self.config.resolve_min_candidates(k)
-        max_seen = int(np.max(seen_counts)) if seen_counts is not None \
-            and len(seen_counts) else 0
-        need = max(need, k + max_seen)
-        if need >= self.num_items:
-            # the floor covers the catalog: exact scan, not approximation
-            out[:] = user_vecs @ item_embeddings.T
-            return out
-
+        floor = self.config.resolve_min_candidates(k)
+        if floor >= self.num_items:
+            return None
+        batch = len(user_ids)
+        if batch == 0:
+            return np.empty((0, 0), dtype=np.int64)
+        need = np.full(batch, k, dtype=np.int64)
+        if seen_counts is not None:
+            need += np.asarray(seen_counts, dtype=np.int64)
         avg = max(1.0, self.num_items / max(1, self.nlist))
-        probes = int(np.ceil(need / avg)) + 1
-        probes = min(self.nlist, max(probes, int(self.config.nprobe)))
+        probes = np.ceil(np.maximum(need, floor) / avg).astype(np.int64) + 1
+        probes = np.minimum(self.nlist,
+                            np.maximum(probes, int(self.config.nprobe)))
 
+        user_vecs = np.ascontiguousarray(user_embeddings[user_ids])
         sel = self._probe_ids(user_vecs, user_ids, probes, generation)
-        lens = self.sizes[sel.ravel()]                    # (batch*probes,)
-        per_user = lens.reshape(batch, probes).sum(axis=1)
+        lens = np.where(np.arange(sel.shape[1]) < probes[:, None],
+                        self.sizes[sel], 0)
+        # cluster skew starved these users' pools: they take the whole
+        # catalog, which keeps the never-leak-a-seen-item guarantee
+        # unconditional
+        short = lens.sum(axis=1) < need
+        lens[short] = 0
+        per_user = lens.sum(axis=1)
+        per_user[short] = self.num_items
+        ids = np.full((batch, int(per_user.max())), -1, dtype=np.int64)
         total = int(lens.sum())
         if total:
-            starts = self.indptr[sel.ravel()]
-            bounds = np.concatenate([[0], np.cumsum(lens)])
-            flat = (np.arange(total)
-                    - np.repeat(bounds[:-1], lens)
-                    + np.repeat(starts, lens))
-            cols = self.items[flat]
-            rows = np.repeat(np.arange(batch), per_user)
-            vals = np.einsum("nd,nd->n", user_vecs[rows],
-                             item_embeddings[cols])
-            out[rows, cols] = vals
+            seg = lens.ravel()
+            offsets = np.cumsum(seg) - seg - self.indptr[sel.ravel()]
+            filled = np.arange(ids.shape[1]) < per_user[:, None]
+            filled[short] = False
+            ids[filled] = self.items[np.arange(total)
+                                     - np.repeat(offsets, seg)]
+        if short.any():
+            ids[short] = self.items
+        return ids
 
-        floor = k + (np.asarray(seen_counts, dtype=np.int64)
-                     if seen_counts is not None else 0)
-        short = np.flatnonzero(per_user < floor)
-        if len(short):
-            # cluster skew starved these users' pools; exact rows keep
-            # the never-leak-a-seen-item guarantee unconditional
-            out[short] = user_vecs[short] @ item_embeddings.T
+    def candidate_scores(self, user_embeddings: np.ndarray,
+                         item_embeddings: np.ndarray,
+                         user_ids: np.ndarray,
+                         item_ids: Optional[np.ndarray]) -> np.ndarray:
+        """Scores aligned with the id block :meth:`candidates` returned.
+
+        ``-inf`` on the ``-1`` padding.  Each probed cluster is scored
+        once for all the users that probe it, by an einsum rather than a
+        GEMM, so a score is bitwise the same whichever block its user is
+        in.  ``item_ids=None`` (the exact-scan case) returns the full
+        ``(len(user_ids), num_items)`` GEMM.  Either form feeds
+        :func:`repro.eval.rank_items_block`, the compact one together
+        with ``item_ids``.
+        """
+        user_vecs = np.ascontiguousarray(
+            user_embeddings[np.asarray(user_ids, dtype=np.int64)])
+        if item_ids is None:
+            return user_vecs @ item_embeddings.T
+        out = np.full(item_ids.shape, -np.inf, dtype=user_vecs.dtype)
+        # a row is whole clusters in member order, so each cluster's
+        # leading member marks where its segment starts
+        rows, starts = np.nonzero(self._leads[item_ids])
+        if not len(rows):
+            return out
+        clusters = self._cluster_of[item_ids[rows, starts]]
+        order = np.argsort(clusters, kind="stable")
+        rows, starts, clusters = rows[order], starts[order], clusters[order]
+        cuts = np.flatnonzero(np.diff(clusters)) + 1
+        values = []
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(clusters)]):
+            cluster = clusters[lo]
+            members = self.items[self.indptr[cluster]:
+                                 self.indptr[cluster + 1]]
+            values.append(np.einsum("nd,md->nm", user_vecs[rows[lo:hi]],
+                                    item_embeddings[members]).ravel())
+        # the values arrive segment by segment in cluster order
+        seg = self.sizes[clusters]
+        first = rows * item_ids.shape[1] + starts - (np.cumsum(seg) - seg)
+        out.reshape(-1)[np.repeat(first, seg)
+                        + np.arange(int(seg.sum()))] = np.concatenate(values)
         return out
 
     # ------------------------------------------------------------------ #

@@ -28,10 +28,11 @@ On top of the embeddings backend sits a **retrieval** knob,
 * ``"ann"`` — an :class:`~repro.serve.ann.IVFIndex` probes the best
   item clusters per user and scores only their members, under the
   recall@20 >= :data:`~repro.serve.ann.DEFAULT_RECALL_BUDGET` parity
-  budget the benches assert.  Candidate scores are scattered into a
-  full-width ``-inf``-filled block, so masking/ranking run through the
-  same :func:`repro.eval.rank_items_block` kernel as the exact path.
-  Requires serving embeddings (model-scored services raise).
+  budget the benches assert.  Each user's candidates are one row of a
+  compact ``(batch, W)`` block; :func:`repro.eval.rank_items_block`
+  ranks it through its ``item_ids`` column map, masking seen items by
+  key membership and breaking exact ties by item id.  Requires serving
+  embeddings (model-scored services raise).
 
 Snapshots can be served zero-copy: ``from_snapshot(path, mmap=True)``
 memory-maps the embedding tables (format v3 artifacts), so N serving
@@ -272,18 +273,22 @@ class RecommenderService:
                              else None)
 
             def shard_fn(chunk: np.ndarray) -> np.ndarray:
+                ids = None
                 if index is not None:
                     seen = (seen_per_user[chunk]
                             if seen_per_user is not None else None)
-                    scores = index.candidate_scores(
-                        user_emb, item_emb, chunk, k,
-                        seen_counts=seen, generation=generation)
+                    ids = index.candidates(user_emb, chunk, k,
+                                           seen_counts=seen,
+                                           generation=generation)
+                    scores = index.candidate_scores(user_emb, item_emb,
+                                                    chunk, ids)
                 elif user_emb is not None:
                     scores = user_emb[chunk] @ item_emb.T
                 else:
                     with self._model_lock:
                         scores = self._model.score_users(chunk)
-                return rank_items_block(scores, exclusion, chunk, k=k)
+                return rank_items_block(scores, exclusion, chunk, k=k,
+                                        item_ids=ids)
 
             itemsize = (user_emb.dtype.itemsize if user_emb is not None
                         else 8)

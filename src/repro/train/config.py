@@ -28,7 +28,10 @@ class ModelConfig:
     negative_weight: float = 0.0     # r, the negative-sample ratio of
                                      # Sec III-D.1; 1.0 = plain InfoNCE.
                                      # 0 (alignment-only) is required at
-                                     # miniature scale — see DESIGN.md
+                                     # miniature scale: most in-batch
+                                     # "negatives" share the positive
+                                     # pair's interest group, so their
+                                     # repulsion fights the ranking loss
     dropout: float = 0.1             # structure/feature corruption rate
     # --- GraphAug specific -------------------------------------------- #
     gib_weight: float = 1e-5         # beta1; the paper's best (Fig 5a)

@@ -27,8 +27,8 @@ import scipy.sparse as sp
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.serve import (ANNConfig, IVFIndex, RecommenderService,
-                         load_snapshot, recall_at_k,
+from repro.serve import (ANNConfig, AsyncRequestFront, IVFIndex,
+                         RecommenderService, load_snapshot, recall_at_k,
                          save_embedding_snapshot)
 
 SETTINGS = dict(max_examples=25, deadline=None,
@@ -125,12 +125,77 @@ def test_candidate_scores_match_exact_where_finite(seed, num_items, k):
     user = rng.standard_normal((8, 6)).astype(np.float64)
     item = rng.standard_normal((num_items, 6)).astype(np.float64)
     index = IVFIndex.build(item, ANNConfig(seed=seed % 997))
-    scores = index.candidate_scores(user, item, np.arange(8), k=k)
+    ids = index.candidates(user, np.arange(8), k=k)
+    scores = index.candidate_scores(user, item, np.arange(8), ids)
     exact = np.ascontiguousarray(user) @ item.T
     finite = np.isfinite(scores)
+    assert np.array_equal(finite, ids >= 0)      # -inf only on padding
     assert (finite.sum(axis=1) >= k).all()
-    assert np.allclose(scores[finite], exact[finite], rtol=1e-10,
-                       atol=1e-12)
+    rows, cols = np.nonzero(finite)
+    assert np.allclose(scores[finite], exact[rows, ids[rows, cols]],
+                       rtol=1e-10, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       num_users=st.integers(2, 16),
+       num_items=st.integers(300, 800),
+       distinct=st.integers(20, 150),
+       heavy=st.integers(0, 400),
+       dim=st.integers(2, 8),
+       k=st.integers(1, 20))
+@settings(**SETTINGS)
+def test_ann_answer_is_batch_invariant(seed, num_users, num_items, distinct,
+                                       heavy, dim, k):
+    """A user's ANN answer is the same alone, in any batch, via the front.
+
+    Item vectors repeat, so equal scores are forced: the lower item id
+    must win them, inside the top-k and at its boundary.  User 0 may
+    have hundreds of seen items; that must not move anyone else's
+    answer.
+    """
+    rng = np.random.default_rng(seed)
+    user, item, train = make_state(seed, num_users, num_items, dim,
+                                   max_seen=12)
+    source = rng.integers(0, distinct, num_items)
+    item = item[source]
+    extra = rng.choice(num_items, size=min(heavy, num_items // 2),
+                       replace=False)
+    train = (train + sp.csr_matrix(
+        (np.ones(len(extra)), (np.zeros(len(extra), dtype=np.int64),
+                               extra)), shape=train.shape)).tocsr()
+    train.data[:] = 1.0
+    train.sort_indices()
+    service = RecommenderService(
+        num_users=num_users, num_items=num_items, exclusion=train,
+        user_embeddings=user, item_embeddings=item, backend="ann")
+    try:
+        alone = np.concatenate([service.recommend([u], k=k)
+                                for u in range(num_users)])
+        assert np.array_equal(service.recommend(k=k), alone)
+        mixed = rng.permutation(np.concatenate([np.arange(num_users)] * 2))
+        assert np.array_equal(service.recommend(mixed, k=k), alone[mixed])
+        with AsyncRequestFront(service, window_ms=5.0, k=k) as front:
+            futures = [front.submit([u]) for u in mixed]
+            fronted = np.concatenate([f.result(timeout=30)
+                                      for f in futures])
+        assert np.array_equal(fronted, alone[mixed])
+
+        index = IVFIndex.build(item)
+        seen_counts = np.diff(train.indptr)
+        for u in range(num_users):
+            answer = alone[u]
+            pool = index.candidates(user, [u], k,
+                                    seen_counts=seen_counts[[u]])[0]
+            passed = set(pool[pool >= 0].tolist()) - set(answer.tolist()) \
+                - set(service.seen_items_of(u).tolist())
+            for rank, a in enumerate(answer.tolist()):
+                twins = np.flatnonzero(source == source[a])
+                # an equal-scored twin ranked after it, or left out of
+                # the top-k, must have the larger id
+                later = set(answer[rank + 1:].tolist()) | passed
+                assert all(b > a for b in twins.tolist() if b in later)
+    finally:
+        service.close()
 
 
 @given(seed=st.integers(0, 2**32 - 1),

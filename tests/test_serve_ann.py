@@ -17,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.data import tiny_dataset
+from repro.eval import rank_items_block
 from repro.serve import (ANNConfig, AsyncRequestFront, BackpressureError,
                          IVFIndex, RecommenderService,
                          SNAPSHOT_FORMAT_VERSION, load_snapshot,
@@ -105,25 +106,30 @@ class TestIVFIndex:
         # are bitwise the full GEMM, so recall is 1.0 by construction
         user, item = clustered_embeddings(num_users=40, num_items=60)
         index = IVFIndex.build(item)
-        scores = index.candidate_scores(user, item, np.arange(40), k=K)
+        assert index.candidates(user, np.arange(40), k=K) is None
+        scores = index.candidate_scores(user, item, np.arange(40), None)
         assert np.isfinite(scores).all()
         assert np.array_equal(scores, user @ item.T)
 
     def test_large_catalog_is_approximate(self):
         user, item = clustered_embeddings()
         index = IVFIndex.build(item)
-        scores = index.candidate_scores(user, item, np.arange(50), k=K)
-        assert np.isinf(scores).any()           # actually pruned
+        ids = index.candidates(user, np.arange(50), k=K)
+        scores = index.candidate_scores(user, item, np.arange(50), ids)
+        assert ids.shape[1] < len(item)         # actually pruned
         finite = np.isfinite(scores).sum(axis=1)
         assert (finite >= K).all()              # but never starved
+        # padding and only padding scores -inf
+        assert np.array_equal(np.isfinite(scores), ids >= 0)
 
     def test_recall_budget_on_clustered_embeddings(self):
         from repro.serve import DEFAULT_RECALL_BUDGET
         user, item = clustered_embeddings()
         index = IVFIndex.build(item)
-        scores = index.candidate_scores(user, item, np.arange(len(user)),
-                                        k=20)
-        approx = np.argsort(-scores, axis=1)[:, :20]
+        users = np.arange(len(user))
+        ids = index.candidates(user, users, k=20)
+        scores = index.candidate_scores(user, item, users, ids)
+        approx = rank_items_block(scores, None, k=20, item_ids=ids)
         exact = exact_topk(user, item, 20)
         assert recall_at_k(approx, exact) >= DEFAULT_RECALL_BUDGET
 
@@ -131,22 +137,42 @@ class TestIVFIndex:
         user, item = clustered_embeddings(num_users=20)
         index = IVFIndex.build(item)
         seen = np.full(20, 150)
-        scores = index.candidate_scores(user, item, np.arange(20), k=K,
-                                        seen_counts=seen)
+        ids = index.candidates(user, np.arange(20), k=K, seen_counts=seen)
+        scores = index.candidate_scores(user, item, np.arange(20), ids)
         finite = np.isfinite(scores).sum(axis=1)
         assert (finite >= K + 150).all()
+
+    def test_pool_is_sized_per_user(self):
+        # one heavy batch-mate widens its own pool, nobody else's
+        user, item = clustered_embeddings(num_users=20)
+        index = IVFIndex.build(item)
+        users = np.arange(20)
+        seen = np.zeros(20, dtype=np.int64)
+        light = index.candidates(user, users, k=K, seen_counts=seen)
+        seen[0] = 800
+        mixed = index.candidates(user, users, k=K, seen_counts=seen)
+        assert (mixed[0] >= 0).sum() >= K + 800
+        width = light.shape[1]
+        assert np.array_equal(mixed[1:, :width], light[1:])
+        assert (mixed[1:, width:] == -1).all()
 
     def test_probe_cache_does_not_change_results(self):
         user, item = clustered_embeddings()
         cold = IVFIndex.build(item)
         warm = IVFIndex.build(item)
         warm.enable_probe_cache(len(user))
-        ids = np.arange(len(user))
-        reference = cold.candidate_scores(user, item, ids, k=K)
-        first = warm.candidate_scores(user, item, ids, k=K)
-        second = warm.candidate_scores(user, item, ids, k=K)  # cache hit
-        assert np.array_equal(first, reference)
-        assert np.array_equal(second, reference)
+        users = np.arange(len(user))
+
+        def search(index):
+            ids = index.candidates(user, users, k=K)
+            return ids, index.candidate_scores(user, item, users, ids)
+
+        reference = search(cold)
+        first = search(warm)
+        second = search(warm)                   # cache hit
+        for got in (first, second):
+            assert np.array_equal(got[0], reference[0])
+            assert np.array_equal(got[1], reference[1])
 
     def test_invalidate_bumps_generation(self):
         _, item = clustered_embeddings()
@@ -221,6 +247,99 @@ class TestServiceBackendKnob:
                                                  backend="ann") as ann:
             assert recall_at_k(ann.recommend(k=20), exact.recommend(k=20)) \
                 >= DEFAULT_RECALL_BUDGET
+
+
+    def test_heavy_batch_mate_does_not_change_answers(self):
+        # each user's pool is sized by that user's own seen count, so a
+        # batch-mate with 800 seen items must not widen anyone else's
+        # probes (random vectors: a wider pool changes most answers)
+        rng = np.random.default_rng(5)
+        user = rng.standard_normal((200, 16)).astype(np.float32)
+        item = rng.standard_normal((4000, 16)).astype(np.float32)
+        train = random_train(200, 4000, per_user=3, seed=5).tolil()
+        train[0, rng.choice(4000, 800, replace=False)] = 1
+        with RecommenderService(num_users=200, num_items=4000,
+                                exclusion=train.tocsr(),
+                                user_embeddings=user, item_embeddings=item,
+                                backend="ann") as service:
+            alone = service.recommend(np.arange(1, 200), k=K)
+            with_heavy = service.recommend(np.arange(200), k=K)
+            assert np.array_equal(with_heavy[1:], alone)
+            assert not set(service.seen_items_of(0)).intersection(
+                with_heavy[0])
+
+
+# --------------------------------------------------------------------- #
+# compact ranking against the full-width path it replaced
+# --------------------------------------------------------------------- #
+
+def scatter_rank_reference(user, item, users, k, exclusion):
+    """The replaced ANN ranking: candidate scores scattered into a
+    full-width ``-inf`` block, ranked by the full-width kernel.
+
+    Returns the top-k lists and the masked full-width block.
+    """
+    seen = np.diff(exclusion.indptr)[users]
+    ids = IVFIndex.build(item).candidates(user, users, k, seen_counts=seen)
+    rows, cols = np.nonzero(ids >= 0)
+    full = np.full((len(users), len(item)), -np.inf, dtype=user.dtype)
+    full[rows, ids[rows, cols]] = np.einsum(
+        "nd,nd->n", user[users][rows], item[ids[rows, cols]])
+    lists = rank_items_block(full, exclusion, users, k=k)
+    masked = full.copy()
+    coo = exclusion[users].tocoo()
+    masked[coo.row, coo.col] = -np.inf
+    return lists, masked
+
+
+class TestCompactRanking:
+    def test_parity_with_full_width_scatter(self, tmp_path):
+        user, item = clustered_embeddings(num_users=400, num_items=3000)
+        train = random_train(400, 3000, per_user=8)
+        path = save_embedding_snapshot(str(tmp_path / "c.npz"), user, item,
+                                       train_matrix=train)
+        users = np.arange(400)
+        with RecommenderService.from_snapshot(path) as exact, \
+                RecommenderService.from_snapshot(path,
+                                                 backend="ann") as ann:
+            got = ann.recommend(users, k=20)
+            expected, masked = scatter_rank_reference(user, item, users,
+                                                      20, train)
+            truth = exact.recommend(users, k=20)
+        # a row is tied when two of its k+1 best scores are equal: only
+        # there may the two tie rules pick or order items differently
+        top = -np.sort(-masked, axis=1)[:, :21]
+        tied = (np.diff(top, axis=1) == 0).any(axis=1)
+        assert tied.mean() < 0.05
+        assert np.array_equal(got[~tied], expected[~tied])
+        assert recall_at_k(got, truth) == recall_at_k(expected, truth)
+
+    def test_ties_break_by_item_id(self):
+        rng = np.random.default_rng(0)
+        ids = np.stack([rng.permutation(50)[:12] for _ in range(4)])
+        # three score levels: ties straddle the cut in every row
+        scores = rng.integers(0, 3, ids.shape).astype(np.float32)
+        expected = np.stack([row[np.lexsort((row, -s))][:5]
+                             for row, s in zip(ids, scores)])
+        got = rank_items_block(scores, None, k=5, item_ids=ids)
+        assert np.array_equal(got, expected)
+        # neither the column order nor the padded width matters
+        perm = rng.permutation(12)
+        padded_ids = np.hstack([ids[:, perm], np.full((4, 7), -1)])
+        padded = np.hstack([scores[:, perm], np.full((4, 7), -np.inf,
+                                                     dtype=np.float32)])
+        assert np.array_equal(
+            rank_items_block(padded, None, k=5, item_ids=padded_ids),
+            expected)
+
+    def test_seen_candidates_are_masked(self):
+        ids = np.array([[7, 3, 9, 1, -1], [2, 8, 4, 6, 5]])
+        scores = np.array([[4., 3., 2., 1., -np.inf], [5., 4., 3., 2., 1.]])
+        train = sp.csr_matrix((np.ones(3), ([0, 1, 1], [3, 8, 9])),
+                              shape=(2, 10))
+        got = rank_items_block(scores, train, np.array([0, 1]), k=3,
+                               item_ids=ids)
+        assert got.tolist() == [[7, 9, 1], [2, 4, 6]]
 
 
 # --------------------------------------------------------------------- #
