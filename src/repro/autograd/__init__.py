@@ -11,9 +11,12 @@ Public surface:
 * :mod:`repro.autograd.functional` — losses (BPR, InfoNCE, Gaussian KL, ...).
 * :class:`Module` / :class:`Parameter` / layers — the nn building blocks.
 * Optimizers: :class:`SGD`, :class:`Adam`, :class:`AdamW`.
-* :func:`spmm` / :func:`weighted_spmm` — sparse propagation primitives.
+* :func:`spmm` / :func:`weighted_spmm` — sparse propagation primitives;
+  :class:`SymmetricPattern` — a fixed symmetric sparsity pattern with one
+  value per pair (GraphAug's augmented views).
 * :mod:`repro.autograd.fused` — opt-in fused hot-path kernels
-  (:func:`fused_bpr_loss`, :func:`fused_bpr_scores`, :func:`light_propagate`).
+  (:func:`fused_bpr_loss`, :func:`fused_bpr_scores`, :func:`light_propagate`,
+  :func:`mixhop_encode`).
 * :func:`gradcheck` — finite-difference certification used by the tests.
 """
 
@@ -33,9 +36,11 @@ from .shmem import SharedNDArray
 from .module import Module, Parameter, Linear, MLP, Embedding, Sequential
 from .optim import SGD, Adam, AdamW, ExponentialLR, Optimizer
 from .sparse import (spmm, weighted_spmm, coo_from_scipy,
-                     clear_sparse_caches, enable_spmm_profiling,
+                     SymmetricPattern, clear_sparse_caches,
+                     enable_spmm_profiling,
                      reset_spmm_profile, spmm_profile, SPMM_PRIMITIVES)
-from .fused import fused_bpr_loss, fused_bpr_scores, light_propagate
+from .fused import (fused_bpr_loss, fused_bpr_scores, light_propagate,
+                    mixhop_encode)
 from .gradcheck import gradcheck, numerical_gradient
 from . import functional
 from . import init
@@ -53,11 +58,11 @@ __all__ = [
     "primitive_profile", "primitive_profiling_enabled",
     "Module", "Parameter", "Linear", "MLP", "Embedding", "Sequential",
     "SGD", "Adam", "AdamW", "ExponentialLR", "Optimizer",
-    "spmm", "weighted_spmm", "coo_from_scipy",
+    "spmm", "weighted_spmm", "coo_from_scipy", "SymmetricPattern",
     "clear_sparse_caches", "enable_spmm_profiling", "reset_spmm_profile",
     "spmm_profile", "SPMM_PRIMITIVES",
     "fused_bpr_loss", "fused_bpr_scores", "light_propagate",
-    "scatter_rows", "SharedNDArray",
+    "mixhop_encode", "scatter_rows", "SharedNDArray",
     "gradcheck", "numerical_gradient",
     "functional", "init",
 ]

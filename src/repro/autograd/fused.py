@@ -8,17 +8,17 @@ tensors — registered via the same :func:`~repro.autograd.primitives
 other op, which is exactly the extension point the registry refactor
 exists to provide.
 
-All three kernels are **opt-in**: the default tape keeps the composed
+All four kernels are **opt-in**: the default tape keeps the composed
 (bit-reproducible) graph, and high-level consumers
 (``Recommender.bpr_loss``, ``light_gcn_propagate``,
-``functional.bpr_loss``) switch to the fused node only when the
-``fused`` backend is selected for it — via
+``functional.bpr_loss``, the light-mode ``MixhopEncoder``) switch to
+the fused node only when the ``fused`` backend is selected for it — via
 ``TrainConfig.autograd_backend``, :class:`~repro.autograd.primitives
 .use_backend` or the ``REPRO_AUTOGRAD_BACKEND`` env knob.  Forward
-values match the composed path bit-for-bit (:func:`light_propagate`)
-or to float tolerance (the BPR kernels reorder the dot-product
-reduction); gradients differ only by accumulation order, which is why
-selecting them is spec-visible rather than silent.
+values match the composed path bit-for-bit (:func:`light_propagate`,
+:func:`mixhop_encode`) or to float tolerance (the BPR kernels reorder
+the dot-product reduction); gradients differ only by accumulation
+order, which is why selecting them is spec-visible rather than silent.
 
 Why fusing helps without leaving numpy: the composed BPR graph runs
 ~14 elementwise tape nodes over batch-sized temporaries (two mul+sum
@@ -28,15 +28,21 @@ and three scaled outer products backward, with the shared logistic
 coefficient computed once as a residual.  ``light_propagate`` removes
 the per-layer tape nodes and list-sum intermediates, keeping only the
 unavoidable csr matvecs (forward) and transposed csr matvecs (VJP).
+``mixhop_encode`` does the same for a whole GraphAug encode, gates and
+learnable view weights included: ~50 composed tape nodes per encode
+become one, and a view's CSR is gathered once per encode from the fixed
+pattern's layout instead of once per hop.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
 from .primitives import defvjp, primitive
 from .sparse import _cached_csr_pair
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _logsumexp_fwd, as_tensor
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -165,3 +171,107 @@ def light_propagate(adjacency, ego: Tensor, num_layers: int) -> Tensor:
     """
     return _light_propagate(adjacency, as_tensor(ego),
                             num_layers=int(num_layers))
+
+
+# --------------------------------------------------------------------- #
+# fused light-mode mixhop encode
+# --------------------------------------------------------------------- #
+
+def _mixhop_encode_fwd(adjacency, operands, hops):
+    ego, weights, *gates = operands
+    if weights is None:
+        csr, csr_t = _cached_csr_pair(adjacency, ego.dtype)
+    else:
+        csr = csr_t = adjacency.csr(weights)  # symmetric by construction
+    total = current = ego
+    layers = []
+    for gate in gates:
+        # the composed softmax's float ops: exp(x + (-logsumexp(x)))
+        row = gate.reshape(1, -1)
+        mix = np.exp(row + (-_logsumexp_fwd(row, -1, True)[0])).reshape(-1)
+        states = [current]
+        for _ in range(hops[-1]):
+            states.append(csr @ states[-1])
+        out = None
+        for idx, hop in enumerate(hops):
+            term = states[hop] * mix[idx]
+            out = term if out is None else out + term
+        layers.append((states, mix))
+        current = out
+        total = total + current
+    scale = np.asarray(1.0 / (len(gates) + 1), dtype=ego.dtype)
+    return total * scale, (csr_t, layers)
+
+
+def _vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
+    csr_t, layers = res
+    weights = operands[1]
+    g_mean = g * np.asarray(1.0 / (len(layers) + 1), dtype=g.dtype)
+    slot_grads = None
+    if weights is not None:
+        slot_grads = np.zeros(adjacency.indices.shape[0], dtype=weights.dtype)
+    gate_grads = []
+    carry = g_mean  # cotangent of the current layer's output
+    for states, mix in reversed(layers):
+        dmix = np.array([np.vdot(carry, states[hop]) for hop in hops],
+                        dtype=mix.dtype)
+        gate_grads.append(mix * (dmix - np.dot(mix, dmix)))
+        grad = None
+        for k in range(hops[-1], -1, -1):
+            for idx, hop in enumerate(hops):
+                if hop == k:
+                    term = carry * mix[idx]
+                    grad = term if grad is None else grad + term
+            if k == 0:
+                break
+            if slot_grads is not None:
+                # d value[slot] = <grad[row], state[col]>, one pass per hop
+                # in the row-run form of _vjp_weighted_values
+                slot_grads += np.einsum(
+                    "ed,ed->e", np.repeat(grad, adjacency.counts, axis=0),
+                    states[k - 1][adjacency.indices])
+            grad = csr_t @ grad
+        carry = grad + g_mean  # each layer input is also a pooled output
+    weight_grad = None
+    if slot_grads is not None:
+        weight_grad = (slot_grads[adjacency.pair_slots[0]]
+                       + slot_grads[adjacency.pair_slots[1]])
+    return [carry, weight_grad, *reversed(gate_grads)]
+
+
+_mixhop_encode = primitive("mixhop_encode", residuals=True)(
+    _mixhop_encode_fwd)
+defvjp("mixhop_encode", None, _vjp_mixhop_encode)
+
+
+def mixhop_encode(adjacency, ego: Tensor, gates, hops,
+                  edge_weights: Optional[Tensor] = None) -> Tensor:
+    """A whole light-mode mixhop encode as one tape node.
+
+    ``L = len(gates)`` layers of ``h' = sum_m softmax(gate)_m A^m h``
+    over the sorted ``hops``, then the mean of ``ego`` and every layer
+    output: the composed :class:`~repro.core.mixhop.MixhopEncoder`
+    forward, with the same float ops in the same order (bit-identical
+    output).  ``adjacency`` is a constant scipy matrix, or a
+    :class:`~repro.autograd.sparse.SymmetricPattern` whose per-pair
+    values are ``edge_weights`` (a sampled view).  The VJP walks the
+    layers backwards once, producing the ``ego``, gate and edge-weight
+    gradients together; it reuses the forward CSR of a pattern, which is
+    symmetric.  Gradients differ from the composed graph only by
+    accumulation order.  Counts toward the spmm profile family.
+
+    >>> import numpy as np, scipy.sparse as sp
+    >>> from repro.autograd import Tensor, mixhop_encode
+    >>> adj = sp.eye(3, format="csr") * 2.0
+    >>> gate = Tensor(np.zeros(2), requires_grad=True)   # mix = (0.5, 0.5)
+    >>> out = mixhop_encode(adj, Tensor(np.ones((3, 1))), [gate], (0, 1))
+    >>> out.data.ravel()   # (1 + (0.5 * 1 + 0.5 * 2)) / 2
+    array([1.25, 1.25, 1.25])
+    """
+    hops = tuple(sorted(int(hop) for hop in hops))
+    if not hops:
+        raise ValueError("need at least one hop")
+    operands = [as_tensor(ego),
+                None if edge_weights is None else as_tensor(edge_weights),
+                *(as_tensor(gate) for gate in gates)]
+    return _mixhop_encode(adjacency, operands, hops=hops)

@@ -33,9 +33,15 @@ time if done naively:
 * :func:`weighted_spmm` caches the *structure* (CSR index arrays and the
   COO→CSR permutation, forward and transposed) per ``(rows, cols, shape)``
   pattern, so each call only gathers the current values into the cached
-  layout instead of re-running the full COO→CSR conversion.  Patterns with
-  duplicate coordinates fall back to the exact scipy conversion (which
-  sums duplicates).
+  layout instead of re-running the full COO→CSR conversion.  The key is
+  the identity of the ``rows``/``cols`` arrays, so callers keep one
+  pattern alive: GraphAug's views all share the arrays of one
+  :class:`SymmetricPattern` (dropped edges weigh 0) and hit on every
+  call.  Patterns with duplicate coordinates fall back to the exact
+  scipy conversion (which sums duplicates).
+* :class:`SymmetricPattern` derives its own CSR layout once at
+  construction; the fused ``mixhop_encode`` kernel gathers pair values
+  into it directly, without a cache lookup.
 
 Wall-clock spent inside the sparse matmuls can be profiled with
 :func:`enable_spmm_profiling` / :func:`spmm_profile` — now thin views
@@ -57,7 +63,8 @@ from .primitives import defvjp, primitive
 from .tensor import Tensor, as_tensor
 
 #: primitives whose wall-clock the legacy spmm profile view aggregates
-SPMM_PRIMITIVES = ("spmm", "weighted_spmm", "light_propagate")
+SPMM_PRIMITIVES = ("spmm", "weighted_spmm", "light_propagate",
+                   "mixhop_encode")
 
 
 # --------------------------------------------------------------------- #
@@ -294,6 +301,49 @@ def weighted_spmm(rows: np.ndarray,
         raise ValueError("values must be 1-D with one entry per coordinate")
     return _weighted_spmm(rows, cols, values, dense,
                           shape=(int(shape[0]), int(shape[1])))
+
+
+# --------------------------------------------------------------------- #
+# fixed symmetric pattern (sampled views, the fused mixhop encode)
+# --------------------------------------------------------------------- #
+
+class SymmetricPattern:
+    """Fixed sparsity of a symmetric ``n x n`` matrix, one value per pair.
+
+    Pair ``p = (heads[p], tails[p])`` owns the entries ``(h, t)`` and
+    ``(t, h)``.  ``rows``/``cols`` list every pair's forward entry, then
+    every mirror entry: the COO layout :func:`weighted_spmm` takes with
+    values ``concat([w, w])``, whose identity-keyed pattern cache then
+    hits on every call.  The canonical CSR layout (rows ascending,
+    columns ascending within a row) is derived once here, so
+    :meth:`csr` only gathers the current pair values into it; it is the
+    layout scipy's own COO conversion produces, so products over it are
+    bit-identical to :func:`weighted_spmm`'s.  Duplicate pairs stay
+    separate slots (a CSR product sums them, in no promised order).
+    """
+
+    def __init__(self, heads: np.ndarray, tails: np.ndarray, num_nodes: int):
+        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        self.num_pairs = heads.shape[0]
+        self.shape = (int(num_nodes), int(num_nodes))
+        self.rows = np.concatenate([heads, tails])
+        self.cols = np.concatenate([tails, heads])
+        order = np.argsort(self.rows * self.shape[1] + self.cols)
+        self.indices = self.cols[order]
+        self.counts = np.bincount(self.rows, minlength=self.shape[0])
+        self.indptr = np.concatenate([[0], np.cumsum(self.counts)])
+        #: CSR slot -> pair that owns it
+        self.slot_pairs = order % self.num_pairs
+        #: ``(2, num_pairs)``: CSR slot of each pair's forward/mirror entry
+        slots = np.empty_like(order)
+        slots[order] = np.arange(order.shape[0])
+        self.pair_slots = slots.reshape(2, self.num_pairs)
+
+    def csr(self, values: np.ndarray) -> sp.csr_matrix:
+        """The matrix whose pair ``p`` entries both equal ``values[p]``."""
+        return sp.csr_matrix((values[self.slot_pairs], self.indices,
+                              self.indptr), shape=self.shape, copy=False)
 
 
 def coo_from_scipy(matrix: sp.spmatrix):

@@ -9,6 +9,9 @@ endpoint embeddings:
 The candidate set is the observed edges plus a budget of sampled
 *higher-order* user-item pairs (3-hop reachable pairs), realizing the
 paper's "additional edges that capture higher-order collaborative signals".
+It is fixed for the model's lifetime, so every sampled view is a subset
+of it: :meth:`CandidateEdges.view_pattern` is the one symmetric sparsity
+pattern all views share, built once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import MLP, Module, Tensor, cast_like, concat
+from ..autograd import MLP, Module, SymmetricPattern, Tensor, cast_like, \
+    concat
 from ..graph import InteractionGraph
 
 
@@ -33,6 +37,19 @@ class CandidateEdges:
 
     def __len__(self) -> int:
         return len(self.user_nodes)
+
+    def view_pattern(self, num_nodes: int) -> SymmetricPattern:
+        """The symmetric pattern every view of these candidates lives on.
+
+        Pair ``p`` is candidate ``p`` in both directions; built on first
+        use and kept on the (immutable) candidate set.
+        """
+        pattern = self.__dict__.get("_view_pattern")
+        if pattern is None or pattern.shape[0] != num_nodes:
+            pattern = SymmetricPattern(self.user_nodes, self.item_nodes,
+                                       num_nodes)
+            object.__setattr__(self, "_view_pattern", pattern)
+        return pattern
 
 
 def build_candidate_edges(graph: InteractionGraph,

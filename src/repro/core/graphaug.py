@@ -30,9 +30,9 @@ import numpy as np
 from .augmentor import CandidateEdges, LearnableAugmentor, \
     build_candidate_edges
 from .gib import gib_kl_term, gib_prediction_term
-from .mixhop import MixhopEncoder
+from .mixhop import MixhopEncoder, Propagation
 from .sampling import SampledView, sample_view
-from ..autograd import Tensor, no_grad, spmm, functional as F
+from ..autograd import Tensor, no_grad, functional as F
 from ..graph import symmetric_normalize
 from ..models.base import GraphRecommender, light_gcn_propagate
 from ..models.registry import MODEL_REGISTRY
@@ -77,6 +77,7 @@ class GraphAug(GraphRecommender):
         self.candidates = build_candidate_edges(
             dataset.train, self.aug_rng,
             higher_order_budget=self.higher_order_budget)
+        self.candidates.view_pattern(self.num_users + self.num_items)
 
     # ------------------------------------------------------------------ #
     # encoding
@@ -96,7 +97,7 @@ class GraphAug(GraphRecommender):
 
     def _encode_original(self) -> Tensor:
         adj = self.mixhop_adj if self.use_mixhop else self.norm_adj
-        return self._encode(lambda h: spmm(adj, h))
+        return self._encode(Propagation(adj))
 
     def propagate(self):
         return self.split_nodes(self._encode_original())
@@ -106,21 +107,19 @@ class GraphAug(GraphRecommender):
     # ------------------------------------------------------------------ #
     def sample_augmented_views(self, node_embeddings: Tensor
                                ) -> Tuple[SampledView, SampledView]:
-        """Draw ``G'`` and ``G''`` from the augmentor's edge distribution."""
+        """Draw ``G'`` and ``G''`` from the augmentor's edge distribution.
+
+        Both views share one set of edge logits (``view.edge_logits``).
+        """
         logits = self.augmentor.edge_logits(node_embeddings,
                                             self.candidates, self.aug_rng)
         num_nodes = self.num_users + self.num_items
-        view_a = sample_view(logits, self.candidates, num_nodes,
-                             self.aug_rng,
-                             threshold=self.config.edge_threshold,
-                             gumbel_temperature=self.config
-                             .gumbel_temperature)
-        view_b = sample_view(logits, self.candidates, num_nodes,
-                             self.aug_rng,
-                             threshold=self.config.edge_threshold,
-                             gumbel_temperature=self.config
-                             .gumbel_temperature)
-        return view_a, view_b
+        return tuple(sample_view(logits, self.candidates, num_nodes,
+                                 self.aug_rng,
+                                 threshold=self.config.edge_threshold,
+                                 gumbel_temperature=self.config
+                                 .gumbel_temperature)
+                     for _ in range(2))
 
     def edge_keep_probabilities(self) -> np.ndarray:
         """Noise-free keep probabilities per candidate edge (Fig 6 probe)."""
@@ -141,15 +140,7 @@ class GraphAug(GraphRecommender):
         if not (self.use_gib or self.use_cl):
             return total
 
-        logits = self.augmentor.edge_logits(embeddings, self.candidates,
-                                            self.aug_rng)
-        num_nodes = self.num_users + self.num_items
-        view_a = sample_view(logits, self.candidates, num_nodes,
-                             self.aug_rng, self.config.edge_threshold,
-                             self.config.gumbel_temperature)
-        view_b = sample_view(logits, self.candidates, num_nodes,
-                             self.aug_rng, self.config.edge_threshold,
-                             self.config.gumbel_temperature)
+        view_a, view_b = self.sample_augmented_views(embeddings)
         z_a = self._encode(view_a.propagate_fn())
         z_b = self._encode(view_b.propagate_fn())
 
@@ -157,7 +148,7 @@ class GraphAug(GraphRecommender):
         # observed edges anchor towards keep, higher-order candidates
         # towards drop, preventing the empty-graph degenerate optimum
         prior = F.binary_cross_entropy_with_logits(
-            logits, self.candidates.observed.astype(np.float64))
+            view_a.edge_logits, self.candidates.observed.astype(np.float64))
         total = total + self.prior_weight * prior
 
         if self.use_gib:
@@ -171,11 +162,17 @@ class GraphAug(GraphRecommender):
                 prediction + self.config.gib_weight * kl)
 
         if self.use_cl:
-            # contrast over the full node set: at this scale a full pass is
-            # cheap and gives every node a consistency signal each step
-            contrastive = F.decomposed_infonce_loss(
-                z_a, z_b, self.config.temperature,
-                self.config.negative_weight)
+            # every node gets a consistency signal each step.  At r = 0
+            # Eq 14's negatives are weighted by zero, so only the O(N·d)
+            # positive alignment is computed (same gradients, no N x N
+            # matrix); r > 0 contrasts each node against all N others
+            if self.config.negative_weight == 0:
+                contrastive = F.infonce_positive_term(
+                    z_a, z_b, self.config.temperature)
+            else:
+                contrastive = F.decomposed_infonce_loss(
+                    z_a, z_b, self.config.temperature,
+                    self.config.negative_weight)
             total = total + self.config.ssl_weight * contrastive
         return total
 

@@ -23,18 +23,49 @@ literally.  In both modes hop powers are computed iteratively as
 The adjacency is abstracted as a ``propagate_fn`` callable so the same
 encoder runs over a constant scipy matrix (original graph, via ``spmm``) or
 a learnable-weight augmented view (via ``weighted_spmm``) — that is what
-lets augmentor gradients flow through message passing.
+lets augmentor gradients flow through message passing.  When that callable
+is a :class:`Propagation` and the ``fused`` backend is selected for
+``mixhop_encode``, a light-mode encode runs as that single tape node
+(:func:`~repro.autograd.fused.mixhop_encode`) instead, with a
+bit-identical output.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Module, Parameter, Tensor, concat
+from ..autograd import (Module, Parameter, Tensor, concat,
+                        fused_kernels_enabled, mixhop_encode, spmm,
+                        weighted_spmm)
 from ..autograd import functional as F
 from ..autograd import init as init_schemes
+
+
+class Propagation:
+    """``h -> A h`` over the original graph or a sampled view.
+
+    ``adjacency`` is a constant scipy matrix (``spmm``), or a
+    :class:`~repro.autograd.SymmetricPattern` whose per-pair values are
+    ``edge_weights`` (``weighted_spmm`` over both directions).  The
+    light-mode encoder hands the same operands to the fused kernel.
+    """
+
+    def __init__(self, adjacency, edge_weights: Optional[Tensor] = None):
+        self.adjacency = adjacency
+        self.edge_weights = edge_weights
+        self._entry_weights: Optional[Tensor] = None
+
+    def __call__(self, h: Tensor) -> Tensor:
+        if self.edge_weights is None:
+            return spmm(self.adjacency, h)
+        if self._entry_weights is None:
+            self._entry_weights = concat(
+                [self.edge_weights, self.edge_weights], axis=0)
+        pattern = self.adjacency
+        return weighted_spmm(pattern.rows, pattern.cols,
+                             self._entry_weights, pattern.shape, h)
 
 
 class MixhopLayer(Module):
@@ -138,6 +169,7 @@ class MixhopEncoder(Module):
         if mode not in ("light", "dense"):
             raise ValueError(f"unknown mixhop mode {mode!r}")
         self.mode = mode
+        self.hops = hops
         self.num_layers = num_layers
         self.layers: List[Module] = []
         for i in range(num_layers):
@@ -151,6 +183,11 @@ class MixhopEncoder(Module):
 
     def forward(self, ego: Tensor,
                 propagate_fn: Callable[[Tensor], Tensor]) -> Tensor:
+        if (self.mode == "light" and isinstance(propagate_fn, Propagation)
+                and fused_kernels_enabled("mixhop_encode")):
+            return mixhop_encode(propagate_fn.adjacency, ego,
+                                 [layer.gates for layer in self.layers],
+                                 self.hops, propagate_fn.edge_weights)
         outputs = [ego]
         current = ego
         for layer in self.layers:

@@ -10,40 +10,56 @@ view *with their soft weight* (a straight-through style estimator — the
 surviving weights keep the gradient path to the augmentor), others are
 dropped.  The kept weights are then symmetrically degree-normalized with
 degrees computed from the current detached weights.
+
+A view is a weight vector over the candidates' fixed symmetric pattern
+(:meth:`~repro.core.augmentor.CandidateEdges.view_pattern`), with the
+dropped edges exactly 0.  The pattern's arrays are the same objects for
+every view, so :func:`~repro.autograd.weighted_spmm`'s pattern cache
+hits on every call and the fused mixhop encode reuses one CSR layout;
+the exact zeros leave every product and gradient of the kept edges
+bit-identical to a kept-edges-only graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .augmentor import CandidateEdges
-from ..autograd import Tensor, functional as F, weighted_spmm
+from .mixhop import Propagation
+from ..autograd import SymmetricPattern, Tensor, concat, functional as F
 from ..graph import normalized_edge_weights
 
 
 @dataclass
 class SampledView:
-    """One sampled augmented graph ``G'`` in unified-node COO form."""
+    """One sampled augmented graph ``G'`` over the fixed candidate pattern."""
 
-    rows: np.ndarray            # both directions (symmetric)
-    cols: np.ndarray
-    weights: Tensor             # normalized soft weights, grad -> augmentor
+    pattern: SymmetricPattern   # shared by every view of the candidates
+    edge_logits: Tensor         # the augmentor scores it was drawn from
+    edge_weights: Tensor        # normalized soft weight per candidate
+                                # (0 where dropped), grad -> augmentor
     keep_mask: np.ndarray       # which candidates survived thresholding
     soft_scores: np.ndarray     # detached relaxed-Bernoulli scores ā
-    num_nodes: int
 
-    def propagate_fn(self):
+    @property
+    def rows(self) -> np.ndarray:
+        """COO rows, both directions (the unified adjacency is symmetric)."""
+        return self.pattern.rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.pattern.cols
+
+    @property
+    def weights(self) -> Tensor:
+        """Per-entry weights aligned with :attr:`rows`/:attr:`cols`."""
+        return concat([self.edge_weights, self.edge_weights], axis=0)
+
+    def propagate_fn(self) -> Propagation:
         """Return ``h -> Ã' h`` for this view (used by the mixhop encoder)."""
-        rows, cols, weights, n = (self.rows, self.cols, self.weights,
-                                  self.num_nodes)
-
-        def fn(h: Tensor) -> Tensor:
-            return weighted_spmm(rows, cols, weights, (n, n), h)
-
-        return fn
+        return Propagation(self.pattern, self.edge_weights)
 
 
 def sample_view(edge_logits: Tensor, candidates: CandidateEdges,
@@ -56,8 +72,7 @@ def sample_view(edge_logits: Tensor, candidates: CandidateEdges,
     -----
     * If thresholding would drop *every* edge, the highest-scoring edge is
       retained so the view never degenerates to an empty graph.
-    * The returned COO pattern contains both directions of each kept edge
-      (the unified adjacency is symmetric).
+    * Dropped candidates keep their place in the pattern with weight 0.
     """
     relaxed = F.gumbel_sigmoid(edge_logits, rng,
                                temperature=gumbel_temperature)
@@ -65,22 +80,16 @@ def sample_view(edge_logits: Tensor, candidates: CandidateEdges,
     if not keep.any():
         keep[int(np.argmax(relaxed.data))] = True
     kept_idx = np.where(keep)[0]
+    kept = relaxed.data[kept_idx]
 
-    kept_weights = relaxed.take_rows(kept_idx)
-    u = candidates.user_nodes[kept_idx]
-    v = candidates.item_nodes[kept_idx]
-
-    # symmetric normalization with detached degrees
-    norm = normalized_edge_weights(u, v, kept_weights.data, num_nodes)
-    scale = np.divide(norm, kept_weights.data,
-                      out=np.zeros_like(norm),
-                      where=kept_weights.data > 1e-12)
-    normalized = kept_weights * scale
-
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    from ..autograd import concat as tensor_concat
-    weights = tensor_concat([normalized, normalized], axis=0)
-    return SampledView(rows=rows, cols=cols, weights=weights,
-                       keep_mask=keep, soft_scores=relaxed.data.copy(),
-                       num_nodes=num_nodes)
+    # symmetric normalization with detached degrees of the kept edges
+    norm = normalized_edge_weights(candidates.user_nodes[kept_idx],
+                                   candidates.item_nodes[kept_idx],
+                                   kept, num_nodes)
+    scale = np.zeros(len(candidates), dtype=norm.dtype)
+    scale[kept_idx] = np.divide(norm, kept, out=np.zeros_like(norm),
+                                where=kept > 1e-12)
+    return SampledView(pattern=candidates.view_pattern(num_nodes),
+                       edge_logits=edge_logits,
+                       edge_weights=relaxed * scale,
+                       keep_mask=keep, soft_scores=relaxed.data.copy())

@@ -118,6 +118,25 @@ class TestFloat32Mode:
         assert loss.data.dtype == np.float32
         assert model.user_emb.weight.grad.dtype == np.float32
 
+    def test_graphaug_fused_encode_stays_float32(self):
+        from repro.autograd import use_backend
+        from repro.data import tiny_dataset
+        from repro.models import build_model
+        from repro.train import ModelConfig
+        data = tiny_dataset(seed=0)
+        with default_dtype("float32"), use_backend("fused"):
+            model = build_model("graphaug", data,
+                                ModelConfig(embedding_dim=8, num_layers=2),
+                                seed=0)
+            loss = model.loss(np.array([0, 1]), np.array([0, 1]),
+                              np.array([2, 3]))
+            loss.backward()
+        assert loss.data.dtype == np.float32
+        # gates, ego tables and the augmentor all get float32 gradients
+        # through the one-node encode
+        for name, param in model.named_parameters():
+            assert param.grad.dtype == np.float32, name
+
     def test_spmm_float32_operands(self):
         matrix = sp.random(5, 4, density=0.5, random_state=0, format="csr")
         x = Tensor(np.random.default_rng(2).normal(size=(4, 3))

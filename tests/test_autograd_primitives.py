@@ -8,18 +8,21 @@ build when a primitive is registered without a combo case (or a VJP).
 An op added without a gradient cannot slip through silently.
 """
 
+import itertools as it
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.autograd import (Tensor, concat, defvjp, fused_bpr_loss,
-                            fused_bpr_scores, gradcheck, light_propagate,
-                            list_primitives, primitive, spmm, stack,
-                            unregister_primitive, weighted_spmm, where)
+from repro.autograd import (SymmetricPattern, Tensor, concat, defvjp,
+                            fused_bpr_loss, fused_bpr_scores, gradcheck,
+                            light_propagate, list_primitives, mixhop_encode,
+                            primitive, spmm, stack, unregister_primitive,
+                            weighted_spmm, where)
 from repro.autograd.primitives import get_primitive
 
 
-def _arr(shape, seed, positive=False, spread=False):
+def _arr(shape, seed, positive=False, spread=False, zeros=0):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=shape)
     if spread:  # distinct magnitudes: keeps max/abs/relu away from ties
@@ -27,6 +30,8 @@ def _arr(shape, seed, positive=False, spread=False):
                                   ).reshape(shape) * np.sign(data + 1e-9)
     if positive:
         data = np.abs(data) + 0.5
+    if zeros:  # exact zeros at seeded positions (dropped edges)
+        data.flat[rng.permutation(data.size)[:zeros]] = 0.0
     return data
 
 
@@ -42,6 +47,45 @@ _WS_COLS = np.array([1, 2, 0, 3, 1], dtype=np.int64)
 _WS_DUP_ROWS = np.array([0, 1, 0], dtype=np.int64)
 _WS_DUP_COLS = np.array([1, 2, 1], dtype=np.int64)  # duplicate (0, 1)
 _COND = np.random.default_rng(21).random((3, 4)) > 0.5
+
+#: a 3-user x 3-item bipartite view pattern over 6 unified nodes
+_PATTERN = SymmetricPattern(np.array([0, 0, 1, 2, 2, 1]),
+                            np.array([3, 4, 4, 5, 3, 5]), 6)
+#: dropped share of n edge values: none, half, all but one
+_DROPPED = {"none": lambda n: 0, "half": lambda n: n // 2,
+            "all-but-one": lambda n: n - 1}
+
+
+def _constant_adjacency(dropped):
+    """A non-symmetric constant graph with dropped values stored as 0."""
+    adj = sp.random(6, 6, density=0.4, random_state=7, format="csr")
+    adj.data = _arr(adj.data.shape, 70, positive=True,
+                    zeros=dropped(adj.nnz))
+    return adj
+
+
+def _mixhop_cases():
+    """combo_check-style product: hops x layers x graph x dropped share."""
+    cases = []
+    for hops, layers, graph, (share, dropped) in it.product(
+            ((0, 1, 2), (1, 2), (0, 2)), (1, 3), ("constant", "weights"),
+            _DROPPED.items()):
+        gate_specs = [((len(hops),), 71 + i, {}) for i in range(layers)]
+        if graph == "constant":
+            def fn(ego, *gates, _adj=_constant_adjacency(dropped), _h=hops):
+                return _scalarize(mixhop_encode(_adj, ego, gates, _h))
+            specs = [((6, 3), 65, {})] + gate_specs
+        else:
+            def fn(ego, weights, *gates, _h=hops):
+                return _scalarize(mixhop_encode(_PATTERN, ego, gates, _h,
+                                                edge_weights=weights))
+            specs = [((6, 3), 65, {}),
+                     ((_PATTERN.num_pairs,), 66,
+                      {"zeros": dropped(_PATTERN.num_pairs)})] \
+                + gate_specs
+        case_id = f"hops{''.join(map(str, hops))}-L{layers}-{graph}-{share}"
+        cases.append((case_id, fn, specs))
+    return cases
 
 
 #: primitive name -> list of (case_id, fn, input specs); every input spec
@@ -153,6 +197,7 @@ CASES = {
                           [((9,), 62, {}), ((9,), 63, {})])],
     "light_propagate": [("two-layer", lambda e: _scalarize(
         light_propagate(_ADJ, e, 2)), [((6, 3), 64, {})])],
+    "mixhop_encode": _mixhop_cases(),
 }
 
 SWEEP = [(name, case_id, fn, specs)
