@@ -266,9 +266,7 @@ def check_hotpath_trend(records: Optional[list] = None,
     serving tier, ``sweep_microbenchmark.cells_per_second_sequential``
     for the sweep engine and
     ``parallel_train_microbenchmark.stale_epochs_per_second`` for the
-    amortized training schedule (the in-process stale number is the
-    stable single-core floor; worker speedups depend on the machine's
-    core count and are recorded but not gated) and
+    amortized training schedule and
     ``dispatch_microbenchmark.broker_cycles_per_second`` for the
     filesystem broker's pure enqueue->claim->ack overhead (dispatched
     sweep wall time is recorded but not gated: it includes worker

@@ -30,12 +30,9 @@ Measures, on the gowalla profile with the paper's 60-epoch budget:
   only on multi-core machines (process spawn + import costs ~1s per
   worker, which one core cannot amortize);
 * the training-scheduler microbenchmark: the same 60-epoch budget under
-  the exact loop, the in-process K-stale schedule
-  (``propagate_every=8``) and the 4-worker shared-memory pool — the
-  worker run asserted bit-identical to in-process first, the K-stale
-  speedup asserted against the >= 1.5x acceptance floor, and the worker
-  row asserted faster only on multi-core machines; plus the
-  staleness-vs-quality table (best metrics at K=1 vs K=8 for every
+  the exact loop and the K-stale schedule (``propagate_every=8``), the
+  K-stale speedup asserted against the >= 1.5x acceptance floor; plus
+  the staleness-vs-quality table (best metrics at K=1 vs K=8 for every
   amortization-eligible model family);
 * the dispatch-broker microbenchmark: pure enqueue -> claim -> ack_done
   filesystem-broker cycles/sec (no training — the queue's scheduling
@@ -724,9 +721,6 @@ def test_fused_kernel_microbenchmark():
 #: recorded by test_staleness_quality_table below)
 STALE_K = 8
 
-#: worker-pool width for the scheduler measurement
-TRAIN_WORKERS = 4
-
 def _lightgcn_train_seconds(train_config):
     """One fresh timing-only LightGCN/gowalla fit (no artifact record)."""
     from repro.autograd import default_dtype
@@ -749,39 +743,20 @@ MIN_STALE_SPEEDUP = 1.5
 def test_parallel_train_microbenchmark():
     """The 60-epoch LightGCN/gowalla budget under the stale scheduler.
 
-    Three schedules of the same spec: the exact loop (the memoized
-    breakdown run), the in-process K-stale schedule, and K-stale fanned
-    over a ``train_workers=4`` shared-memory pool.  Parity first: the
-    worker run must be bit-identical to the in-process stale run (same
-    per-epoch losses, same final embeddings) before any timing means
-    anything.  The K-stale speedup over exact is asserted against the
-    ``MIN_STALE_SPEEDUP`` acceptance floor; the worker row is asserted
-    faster than in-process only on a multi-core machine (four spawned
-    interpreters cannot beat one core — ``train_seconds`` excludes the
-    pool spawn, but every queue round-trip still serializes against the
-    parent there) and is recorded either way.  The in-process stale
-    epochs/sec is the trend-gated floor (``check_hotpath_trend``).
+    Two schedules of the same spec: the exact loop (the memoized
+    breakdown run) and the K-stale schedule.  The K-stale speedup over
+    exact is asserted against the ``MIN_STALE_SPEEDUP`` acceptance
+    floor, and the stale epochs/sec is the trend-gated floor
+    (``check_hotpath_trend``).
     """
     base = BENCH_TRAIN_CONFIG
     stale_cfg = TrainConfig(
         epochs=base.epochs, batch_size=base.batch_size,
         eval_every=base.eval_every, autograd_backend=base.autograd_backend,
         propagate_every=STALE_K)
-    workers_cfg = TrainConfig(
-        epochs=base.epochs, batch_size=base.batch_size,
-        eval_every=base.eval_every, autograd_backend=base.autograd_backend,
-        propagate_every=STALE_K, train_workers=TRAIN_WORKERS)
 
     exact = run_model("lightgcn", "gowalla")  # memoized breakdown run
     stale = run_model("lightgcn", "gowalla", train_config=stale_cfg)
-    pooled = run_model("lightgcn", "gowalla", train_config=workers_cfg)
-
-    # parity first: N workers == in-process, bit for bit
-    assert [r.loss for r in pooled.fit.history] == \
-        [r.loss for r in stale.fit.history]
-    np.testing.assert_array_equal(pooled.node_embeddings,
-                                  stale.node_embeddings)
-    assert pooled.metrics == stale.metrics
 
     epochs = len(exact.fit.history)
     exact_seconds = exact.fit.train_seconds
@@ -797,9 +772,7 @@ def test_parallel_train_microbenchmark():
                             _lightgcn_train_seconds(stale_cfg))
     exact_eps = epochs / exact_seconds
     stale_eps = epochs / stale_seconds
-    pooled_eps = epochs / pooled.fit.train_seconds
     stale_speedup = exact_seconds / stale_seconds
-    pooled_speedup = exact_seconds / pooled.fit.train_seconds
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -808,32 +781,21 @@ def test_parallel_train_microbenchmark():
         "dataset": "gowalla",
         "epochs": epochs,
         "propagate_every": STALE_K,
-        "train_workers": TRAIN_WORKERS,
         "cores": cores,
         "exact_train_seconds": exact_seconds,
         "stale_train_seconds": stale_seconds,
-        "workers_train_seconds": pooled.fit.train_seconds,
         "exact_epochs_per_second": exact_eps,
         "stale_epochs_per_second": stale_eps,
-        "workers_epochs_per_second": pooled_eps,
         "speedup_stale_vs_exact": stale_speedup,
-        "speedup_workers_vs_exact": pooled_speedup,
         "exact_spmm_seconds": exact.fit.spmm_seconds,
         "stale_spmm_seconds": stale.fit.spmm_seconds,
     })
     print(f"\nscheduler K={STALE_K}: exact {exact_seconds:.3f}s, "
-          f"stale {stale_seconds:.3f}s "
-          f"({stale_speedup:.2f}x), {TRAIN_WORKERS} workers "
-          f"{pooled.fit.train_seconds:.3f}s ({pooled_speedup:.2f}x) "
+          f"stale {stale_seconds:.3f}s ({stale_speedup:.2f}x) "
           f"({cores} core(s))")
     assert stale_speedup >= MIN_STALE_SPEEDUP, (
         f"K={STALE_K} stale schedule only {stale_speedup:.2f}x the exact "
         f"loop, below the {MIN_STALE_SPEEDUP}x acceptance bar")
-    if cores > 1:
-        assert pooled.fit.train_seconds < stale_seconds, (
-            f"{TRAIN_WORKERS}-worker pool ({pooled.fit.train_seconds:.3f}s)"
-            f" did not beat in-process stale "
-            f"({stale_seconds:.3f}s) on a {cores}-core machine")
 
 
 #: models whose staleness-vs-quality delta the artifact records (the

@@ -643,9 +643,9 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, num_rows: int
     This is the ``take_rows`` VJP as a public export — the exact
     (dtype-preserving, C-kernel) scatter the tape itself uses to push a
     row-batch gradient back into an embedding table.  External gradient
-    appliers (the parallel training scheduler applying worker-computed
-    per-row grads) route through it so their updates are bit-identical
-    to a ``backward()`` through ``take_rows``.
+    appliers (the amortized training schedule applying per-row grads
+    computed on frozen tables) route through it so their updates are
+    bit-identical to a ``backward()`` through ``take_rows``.
     """
     n, dim = g.shape
     dtype = g.dtype

@@ -140,9 +140,10 @@ class Recommender(Module):
     def supports_amortized_propagation(self) -> bool:
         """Whether the stale-propagation training schedule applies.
 
-        The amortized scheduler (:mod:`repro.train.parallel`) trains
-        stale batches against frozen ``propagate()`` tables, which is
-        only meaningful when scores *are* that embedding dot product —
+        The amortized schedule (:class:`repro.train.Trainer` with
+        ``TrainConfig.propagate_every`` > 1) trains stale batches
+        against frozen ``propagate()`` tables, which is only
+        meaningful when scores *are* that embedding dot product —
         the same eligibility rule ``serving_embeddings`` uses.  Models
         overriding ``score_users`` with a custom scorer (ncf, autorec,
         biasmf) return False and must train with ``propagate_every=1``.
@@ -157,10 +158,9 @@ class Recommender(Module):
         arrays are **copies**, frozen snapshots of the current
         parameters — later optimizer steps never leak into them, which
         is what makes a stale window's gradients independent of the
-        updates applied inside it (and therefore worker-count
-        invariant).  Unlike ``inference_cache`` — whose cache dies with
-        its context so *evaluation* always sees live parameters — this
-        cache lives until the next refresh or
+        updates applied inside it.  Unlike ``inference_cache`` — whose
+        cache dies with its context so *evaluation* always sees live
+        parameters — this cache lives until the next refresh or
         :meth:`invalidate_propagation` (structural resampling).
         """
         with no_grad():

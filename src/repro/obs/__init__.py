@@ -7,7 +7,7 @@
 - **Tracing** (:mod:`repro.obs.trace`): ``span()`` / ``traced()`` record
   wall-time spans with parent links into a per-process ring buffer,
   exported as Chrome-trace ``trace.json`` run-dir artifacts; spans from
-  spawn workers merge into the parent buffer at pool shutdown.  Off by
+  sweep workers merge into the parent buffer per finished cell.  Off by
   default and zero-cost when disabled; turned on per run via
   ``TrainConfig.trace``.
 - **Metrics** (:mod:`repro.obs.metrics`): process-wide counters, gauges
@@ -33,7 +33,6 @@ from repro.obs.trace import (
     current_seq,
     events_since,
     snapshot_events,
-    drain_events,
     absorb_events,
     dropped_event_count,
     chrome_trace,
@@ -72,7 +71,6 @@ __all__ = [
     "current_seq",
     "events_since",
     "snapshot_events",
-    "drain_events",
     "absorb_events",
     "dropped_event_count",
     "chrome_trace",

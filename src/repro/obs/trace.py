@@ -14,10 +14,9 @@ Design constraints, in order:
    hot-path benchmark asserts this stays unmeasurable.
 2. **Cross-process mergeable.**  Every event carries ``pid``/``tid`` and
    a timestamp anchored to the shared wall clock (``time.time``), so
-   events recorded in spawn workers (sweep cells, ``StaleGradientPool``
-   batch workers) can be shipped back as plain dicts and absorbed into
-   the parent's buffer with :func:`absorb_events` -- the same rendezvous
-   the per-primitive autograd profile already uses.
+   events recorded in spawn workers (sweep cells) can be shipped back
+   as plain dicts and absorbed into the parent's buffer with
+   :func:`absorb_events`.
 3. **Bounded memory.**  The buffer is a ring: once ``capacity`` events
    are held, the oldest are overwritten and counted in
    :func:`dropped_event_count`.
@@ -51,7 +50,6 @@ __all__ = [
     "current_seq",
     "events_since",
     "snapshot_events",
-    "drain_events",
     "absorb_events",
     "dropped_event_count",
     "chrome_trace",
@@ -260,7 +258,7 @@ def set_process_label(label: str) -> None:
     """Name this process in the trace viewer (an ``"M"`` metadata event).
 
     Workers call this right after enabling tracing so merged traces read
-    ``sweep-worker`` / ``train-worker-1`` instead of bare pids.  No-op
+    ``dispatch-worker <id>`` instead of bare pids.  No-op
     while tracing is disabled.
     """
     if not _enabled:
@@ -366,29 +364,14 @@ def snapshot_events() -> List[Dict[str, Any]]:
         return [event for _, event in _ordered_entries()]
 
 
-def drain_events() -> List[Dict[str, Any]]:
-    """Return all buffered events and clear the buffer.
-
-    Workers call this at shutdown to ship their events to the parent in
-    one message; pairing it with :func:`absorb_events` on the parent
-    side gives exactly-once merge semantics.
-    """
-    global _ring, _next_slot
-    with _lock:
-        events = [event for _, event in _ordered_entries()]
-        _ring = []
-        _next_slot = 0
-    return events
-
-
 def absorb_events(events: Iterable[Dict[str, Any]]) -> int:
     """Merge events recorded in another process into this buffer.
 
-    Accepts the plain dicts produced by :func:`drain_events` /
-    :func:`events_since`; entries without the minimal ``name``/``ph``
-    keys are skipped.  Returns the number of events absorbed.  Works
-    whether or not tracing is currently enabled, so a parent can collect
-    worker traces even after its own scope closed.
+    Accepts the plain dicts produced by :func:`events_since`; entries
+    without the minimal ``name``/``ph`` keys are skipped.  Returns the
+    number of events absorbed.  Works whether or not tracing is
+    currently enabled, so a parent can collect worker traces even after
+    its own scope closed.
     """
     absorbed = 0
     for event in events:

@@ -10,10 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..eval.protocol import DEFAULT_CHUNK_SIZE  # noqa: F401 (re-export;
-                                                # kept for callers that
-                                                # pin the legacy block)
-
 
 @dataclass
 class ModelConfig:
@@ -83,7 +79,7 @@ class TrainConfig:
                                               # composed graph by float
                                               # accumulation order
     propagate_every: int = 1                  # K, the amortized-propagation
-                                              # period (repro.train.parallel):
+                                              # period (repro.train.trainer):
                                               # 1 (default) = today's exact
                                               # loop, bit-identical; K>1
                                               # re-propagates on every K-th
@@ -100,33 +96,12 @@ class TrainConfig:
                                               # embedding-dot score_users
                                               # (GNN zoo); custom-scorer
                                               # models raise
-    train_workers: Optional[int] = None       # N shared-memory batch workers
-                                              # computing the stale-window
-                                              # gradients (requires
-                                              # propagate_every > 1).  None/0
-                                              # = in-process.  The parent
-                                              # samples every batch and
-                                              # applies gradients in batch
-                                              # order, so any N is bit-
-                                              # identical to sequential
-                                              # (run_dir_fingerprint-
-                                              # certified) unless
-                                              # async_updates opts out
-    async_updates: bool = False               # opt-in lock-free mode: apply
-                                              # window gradients in worker
-                                              # completion order instead of
-                                              # batch order (hogwild-style).
-                                              # Breaks bit-reproducibility —
-                                              # which is why it is a spec-
-                                              # visible knob and never a
-                                              # default; requires
-                                              # train_workers
     early_stop_patience: Optional[int] = None  # evals w/o improvement
     early_stop_metric: str = "recall@20"
     verbose: bool = False
     trace: bool = False                       # record repro.obs spans for
                                               # this fit (epochs, batches,
-                                              # refreshes, worker batches)
+                                              # refreshes, stale windows)
                                               # and, via the experiment
                                               # layer, export a Chrome-
                                               # trace trace.json into the
@@ -134,8 +109,7 @@ class TrainConfig:
                                               # only: never changes the
                                               # math, and run_dir
                                               # fingerprints normalize it
-                                              # out like train_workers.
-                                              # Off by default; the
+                                              # out.  Off by default; the
                                               # disabled path is a no-op
                                               # fast path asserted by the
                                               # hot-path bench
@@ -151,7 +125,7 @@ class TrainConfig:
                                               # clock.  Schedule-only: the
                                               # run_dir fingerprint
                                               # normalizes it out like
-                                              # train_workers/trace
+                                              # trace
     fail_after_epoch: Optional[int] = None    # fault-injection hook: raise
                                               # RuntimeError once this many
                                               # epochs completed.  Exists so

@@ -5,6 +5,30 @@ apples: same sampler, same optimizer family, same evaluation cadence, same
 early stopping.  The loop also records per-epoch history (loss, metrics,
 cumulative wall-clock), which directly feeds the paper's convergence figure
 (Fig 4) and cost table (Table VI).
+
+The stale-window schedule (``TrainConfig.propagate_every = K``)
+----------------------------------------------------------------
+Every mini-batch of the classic loop recomputes the full multi-layer
+``propagate()`` forward *and* backward.  With ``K > 1`` each epoch is
+cut into windows of ``K`` batches instead:
+
+* the **refresh batch** (first of the window) trains exactly like the
+  classic loop — full ``model.loss`` through a live ``propagate()``, SSL
+  terms and all — and then freezes a snapshot of the propagated tables
+  (:meth:`Recommender.refresh_propagation`);
+* the following ``K-1`` **stale batches** train a BPR + L2 objective
+  directly on the frozen tables (:func:`stale_batch_grads`), and the
+  gradient is scattered back onto the ego embedding tables through the
+  tape's own ``take_rows`` scatter (:func:`apply_stale_gradients`), as if
+  the final embeddings were the ego embeddings plus a constant
+  propagation offset.  Non-embedding parameters (e.g. NGCF's layer
+  weights) and SSL terms update only on refresh batches.
+
+``K = 1`` (the default) runs the classic loop unchanged, bit-identical to
+every previous release.  The schedule requires the inherited
+embedding-dot ``score_users`` (see
+:meth:`Recommender.supports_amortized_propagation`); custom-scorer models
+(ncf, autorec, biasmf) reject it loudly.
 """
 
 from __future__ import annotations
@@ -12,16 +36,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import TrainConfig
-from .parallel import (StaleGradientPool, apply_stale_gradients,
-                       iter_window_updates)
-from ..autograd import (Adam, ExponentialLR, SPMM_PRIMITIVES, no_grad,
-                        primitive_profile, primitive_profiling_enabled,
-                        spmm_profile, use_backend)
+from ..autograd import (Adam, ExponentialLR, Tensor, fused_bpr_loss,
+                        fused_kernels_enabled, no_grad, primitive_profile,
+                        primitive_profiling_enabled, scatter_rows,
+                        spmm_profile, use_backend, functional as F)
 from ..data import BPRSampler, InteractionDataset
 from ..eval import evaluate_model
 from ..obs import (console, counter, counter_event, gauge, histogram, span,
@@ -99,11 +122,10 @@ class Trainer:
     epoch, ready for ``RecommenderService.from_snapshot``.
 
     ``TrainConfig.propagate_every`` > 1 switches each epoch onto the
-    amortized stale-window schedule, and ``TrainConfig.train_workers``
-    fans the stale batches out over a shared-memory worker pool — see
-    :mod:`repro.train.parallel`.  Both require the model's inherited
-    embedding-dot ``score_users`` (``supports_amortized_propagation``);
-    the default ``propagate_every=1`` runs the classic loop unchanged.
+    amortized stale-window schedule (:meth:`_amortized_epoch`), which
+    requires the model's inherited embedding-dot ``score_users``
+    (``supports_amortized_propagation``); the default
+    ``propagate_every=1`` runs the classic loop unchanged.
     """
 
     def __init__(self, model, dataset: InteractionDataset,
@@ -131,20 +153,6 @@ class Trainer:
         if cfg.propagate_every < 1:
             raise ValueError(
                 f"propagate_every must be >= 1, got {cfg.propagate_every}")
-        workers = cfg.train_workers or 0
-        if workers < 0:
-            raise ValueError(
-                f"train_workers must be >= 0, got {cfg.train_workers}")
-        if workers and cfg.propagate_every <= 1:
-            raise ValueError(
-                "train_workers requires propagate_every > 1: the worker "
-                "pool parallelizes the stale batches of the amortized "
-                "schedule, and with propagate_every=1 every batch "
-                "re-propagates in the parent")
-        if cfg.async_updates and not workers:
-            raise ValueError(
-                "async_updates is the worker pool's completion-order "
-                "mode; set train_workers as well")
         if cfg.propagate_every > 1:
             supports = getattr(model, "supports_amortized_propagation",
                                None)
@@ -171,6 +179,24 @@ class Trainer:
                     return self._fit()
             return self._fit()
 
+    @staticmethod
+    def _emit_primitive_counters(profile_at_start) -> None:
+        """Re-expose the autograd profiler as trace counter tracks.
+
+        When both tracing and per-primitive profiling are on, each epoch
+        drops one Chrome ``"C"`` sample per primitive with the seconds
+        accumulated since fit start — a plottable time series of where
+        the tape spends its time.  No-op otherwise.
+        """
+        if not (tracing_enabled() and primitive_profiling_enabled()):
+            return
+        for name, entry in primitive_profile().items():
+            delta = entry["seconds"] - profile_at_start.get(
+                name, {}).get("seconds", 0.0)
+            if delta > 0.0:
+                counter_event(f"autograd.{name}", seconds=delta,
+                              calls=entry["calls"])
+
     def _fit(self) -> FitResult:
         cfg = self.config
         num_batches = cfg.batches_per_epoch
@@ -190,68 +216,14 @@ class Trainer:
         stale_evals = 0
         propagate_every = max(1, cfg.propagate_every)
         self._ego_columns = slice(None)
-        self._table_shapes = None
         if propagate_every > 1:
-            # probe the propagated-table geometry once: width may exceed
-            # the ego width (layer-concat models), and the model then
-            # names the identity-rooted block the stale scatter may use
+            # probe the propagated-table width once: it may exceed the
+            # ego width (layer-concat models), and the model then names
+            # the identity-rooted block the stale scatter may use
             with no_grad():
-                users_t, items_t = self.model.propagate()
-            self._table_shapes = (users_t.data.shape, items_t.data.shape,
-                                  users_t.data.dtype)
+                users_t, _ = self.model.propagate()
             self._ego_columns = self.model.amortized_ego_columns(
                 users_t.data.shape[1])
-        pool = self._make_pool(num_batches)
-        try:
-            return self._fit_epochs(
-                cfg, num_batches, propagate_every, pool, history, timer,
-                sampler_timer, eval_timer, spmm_seconds_at_start,
-                profile_at_start, best_value, best_metrics, best_epoch,
-                stale_evals)
-        finally:
-            if pool is not None:
-                pool.close()  # idempotent; the success path already did
-
-    def _make_pool(self, num_batches: int) -> Optional[StaleGradientPool]:
-        """Spawn the stale-batch worker pool when the config asks for one."""
-        cfg = self.config
-        workers = cfg.train_workers or 0
-        max_window = min(max(1, cfg.propagate_every) - 1, num_batches - 1)
-        if not workers or max_window < 1:
-            return None
-        user_shape, item_shape, dtype = self._table_shapes
-        return StaleGradientPool(
-            workers=workers, num_users=user_shape[0],
-            num_items=item_shape[0],
-            dim=user_shape[1], dtype=dtype,
-            batch_size=cfg.batch_size, max_window=max_window,
-            reg_weight=self.model.config.reg_weight,
-            backend=cfg.autograd_backend,
-            profile=primitive_profiling_enabled(),
-            trace=tracing_enabled())
-
-    @staticmethod
-    def _emit_primitive_counters(profile_at_start) -> None:
-        """Re-expose the autograd profiler as trace counter tracks.
-
-        When both tracing and per-primitive profiling are on, each epoch
-        drops one Chrome ``"C"`` sample per primitive with the seconds
-        accumulated since fit start — a plottable time series of where
-        the tape spends its time.  No-op otherwise.
-        """
-        if not (tracing_enabled() and primitive_profiling_enabled()):
-            return
-        for name, entry in primitive_profile().items():
-            delta = entry["seconds"] - profile_at_start.get(
-                name, {}).get("seconds", 0.0)
-            if delta > 0.0:
-                counter_event(f"autograd.{name}", seconds=delta,
-                              calls=entry["calls"])
-
-    def _fit_epochs(self, cfg, num_batches, propagate_every, pool, history,
-                    timer, sampler_timer, eval_timer, spmm_seconds_at_start,
-                    profile_at_start, best_value, best_metrics, best_epoch,
-                    stale_evals) -> FitResult:
         for epoch in range(1, cfg.epochs + 1):
             epoch_started = timer.total
             with span("train.epoch", epoch=epoch), timer:
@@ -273,7 +245,7 @@ class Trainer:
                             epoch_loss += loss.item()
                 else:
                     epoch_loss = self._amortized_epoch(
-                        num_batches, propagate_every, pool, sampler_timer)
+                        num_batches, propagate_every, sampler_timer)
                 self.scheduler.step()
             epoch_loss /= num_batches
 
@@ -348,46 +320,28 @@ class Trainer:
             # end-of-fit serving snapshot of the final parameters
             from .callbacks import ServingSnapshot
             ServingSnapshot(cfg.snapshot_path)(self.model, self.dataset)
-        # fold the workers' per-process profile counters in *before*
-        # reading the parent's, so FitResult.primitive_seconds (and the
-        # derived spmm view) stays truthful under train_workers > 1
-        worker_profile = pool.close() if pool is not None else {}
         primitive_seconds = {}
         for name, entry in primitive_profile().items():
             delta = entry["seconds"] - profile_at_start.get(
                 name, {}).get("seconds", 0.0)
             if delta > 0.0:
                 primitive_seconds[name] = delta
-        worker_spmm_seconds = 0.0
-        for name, entry in worker_profile.items():
-            seconds = entry.get("seconds", 0.0)
-            if seconds <= 0.0:
-                continue
-            primitive_seconds[name] = (primitive_seconds.get(name, 0.0)
-                                       + seconds)
-            if name in SPMM_PRIMITIVES:
-                worker_spmm_seconds += seconds
         return FitResult(history=history, best_metrics=best_metrics,
                          best_epoch=best_epoch, train_seconds=timer.total,
                          sampler_seconds=sampler_timer.total,
                          spmm_seconds=(spmm_profile()["seconds"]
-                                       - spmm_seconds_at_start
-                                       + worker_spmm_seconds),
+                                       - spmm_seconds_at_start),
                          eval_seconds=eval_timer.total,
                          primitive_seconds=primitive_seconds)
 
     def _amortized_epoch(self, num_batches: int, propagate_every: int,
-                         pool: Optional[StaleGradientPool],
                          sampler_timer: Timer) -> float:
-        """One epoch of the stale-window schedule (see train.parallel).
+        """One epoch of the stale-window schedule.
 
         Every window: one exact batch (live ``model.loss``), a frozen
-        table refresh, then up to ``propagate_every - 1`` stale batches
-        whose gradients come from the pool (or the bit-identical
-        in-process path) and are applied in batch order — completion
-        order only under the explicit ``async_updates`` opt-in.  The
-        parent samples all batches, so the RNG stream never depends on
-        the worker count.
+        table refresh, then up to ``propagate_every - 1`` stale batches,
+        each trained by :func:`stale_batch_grads` on the frozen tables
+        and applied by :func:`apply_stale_gradients` in sampling order.
         """
         model, cfg = self.model, self.config
         reg_weight = model.config.reg_weight
@@ -409,24 +363,79 @@ class Trainer:
             with span("train.refresh", batch=batch):
                 stale_users, stale_items = model.refresh_propagation()
             with span("train.window", size=window):
-                batches = []
                 for _ in range(window):
                     with sampler_timer:
-                        batches.append(self.sampler.sample(cfg.batch_size))
-                if pool is not None:
-                    pool.push_tables(stale_users, stale_items)
-                    updates = pool.run_window(batches,
-                                              ordered=not cfg.async_updates)
-                else:
-                    updates = iter_window_updates(stale_users, stale_items,
-                                                  batches, reg_weight)
-                for users, pos, neg, loss_value, gu, gp, gn in updates:
+                        users, pos, neg = self.sampler.sample(
+                            cfg.batch_size)
+                    loss_value, gu, gp, gn = stale_batch_grads(
+                        stale_users[users], stale_items[pos],
+                        stale_items[neg], reg_weight)
                     apply_stale_gradients(model, self.optimizer,
                                           users, pos, neg, gu, gp, gn,
                                           ego_columns=self._ego_columns)
                     epoch_loss += loss_value
             batch += window
         return epoch_loss
+
+
+def stale_batch_grads(user_rows: np.ndarray, pos_rows: np.ndarray,
+                      neg_rows: np.ndarray, reg_weight: float
+                      ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss and per-row gradients of one stale batch.
+
+    ``user_rows`` / ``pos_rows`` / ``neg_rows`` are rows gathered from
+    the *frozen* propagated tables.  The objective mirrors the exact
+    path's BPR + batch-wise L2 (same fused-kernel gating), computed
+    entirely on the stale rows — by construction it never reads live
+    parameters.  Returns ``(loss, d/d_user_rows, d/d_pos_rows,
+    d/d_neg_rows)``; the caller scatters them onto the ego tables.
+    """
+    u = Tensor(user_rows, requires_grad=True)
+    vp = Tensor(pos_rows, requires_grad=True)
+    vn = Tensor(neg_rows, requires_grad=True)
+    if fused_kernels_enabled("fused_bpr_loss"):
+        loss = fused_bpr_loss(u, vp, vn)
+    else:
+        pos_scores = (u * vp).sum(axis=1)
+        neg_scores = (u * vn).sum(axis=1)
+        loss = F.bpr_loss(pos_scores, neg_scores)
+    if reg_weight:
+        total = (u * u).sum() + (vp * vp).sum() + (vn * vn).sum()
+        loss = loss + total * (reg_weight / max(1, user_rows.shape[0]))
+    loss.backward()
+    return float(loss.item()), u.grad, vp.grad, vn.grad
+
+
+def apply_stale_gradients(model, optimizer, users: np.ndarray,
+                          pos: np.ndarray, neg: np.ndarray,
+                          gu: np.ndarray, gp: np.ndarray, gn: np.ndarray,
+                          ego_columns: slice = slice(None)) -> None:
+    """Scatter per-row stale gradients onto the ego tables and step.
+
+    ``ego_columns`` restricts the scatter to the identity-rooted block
+    of the propagated width (:meth:`Recommender.amortized_ego_columns`;
+    the full width for LightGCN-style models).  Uses the tape's own
+    dtype-preserving segment-sum scatter
+    (:func:`repro.autograd.scatter_rows`) — one scatter per ``take_rows``
+    occurrence, accumulated exactly like ``backward()`` would.
+    """
+    uw = model.user_emb.weight
+    iw = model.item_emb.weight
+    users = np.asarray(users, dtype=np.int64)
+    pos = np.asarray(pos, dtype=np.int64)
+    neg = np.asarray(neg, dtype=np.int64)
+    optimizer.zero_grad()
+    uw.grad = scatter_rows(
+        np.ascontiguousarray(gu[:, ego_columns], dtype=uw.data.dtype),
+        users, uw.data.shape[0])
+    item_grad = scatter_rows(
+        np.ascontiguousarray(gp[:, ego_columns], dtype=iw.data.dtype),
+        pos, iw.data.shape[0])
+    item_grad += scatter_rows(
+        np.ascontiguousarray(gn[:, ego_columns], dtype=iw.data.dtype),
+        neg, iw.data.shape[0])
+    iw.grad = item_grad
+    optimizer.step()
 
 
 def fit_model(model, dataset: InteractionDataset,

@@ -84,10 +84,16 @@ class TestStrictParsing:
             ExperimentSpec(model="lightgcn", dataset="tiny",
                            model_config={"embeding_dim": 16})
 
-    def test_unknown_train_config_key_names_field(self):
-        with pytest.raises(ValueError, match="epoch.*train_config"):
+    @pytest.mark.parametrize("key, value", [
+        ("epoch", 3),
+        # the removed worker-pool knobs fail like any other unknown key
+        ("train_workers", 2),
+        ("async_updates", True),
+    ])
+    def test_unknown_train_config_key_names_field(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}.*train_config"):
             ExperimentSpec(model="lightgcn", dataset="tiny",
-                           train_config={"epoch": 3})
+                           train_config={key: value})
 
     def test_unknown_model_name(self):
         with pytest.raises(ValueError, match="unknown model 'gpt4'"):

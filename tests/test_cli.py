@@ -125,68 +125,8 @@ class TestRecommend:
         assert ann["recommendations"] == exact["recommendations"]
 
 
-class TestDeprecatedEntryPoints:
-    """The cmd_*-era helpers survive one release as warning wrappers."""
-
-    def test_cmd_models_warns_and_still_works(self, capsys):
-        from repro.cli import cmd_models
-        with pytest.warns(DeprecationWarning,
-                          match=r"cmd_models is deprecated.*main"):
-            assert cmd_models(None) == 0
-        assert "lightgcn" in capsys.readouterr().out
-
-    def test_cmd_train_warns_with_replacement(self, capsys):
-        import argparse
-        from repro.cli import cmd_train
-        args = argparse.Namespace(
-            model="biasmf", dataset="tiny", seed=0, dim=8, layers=2,
-            ssl_weight=1.0, temperature=0.5, edge_threshold=0.2,
-            epochs=1, batch_size=64, lr=1e-3, quiet=True, eval_every=1,
-            checkpoint=None, history=None, snapshot=None, run_dir=None)
-        with pytest.warns(DeprecationWarning,
-                          match=r"repro\.api\.Experiment\(spec\)\.run"):
-            assert cmd_train(args) == 0
-        assert "recall@20" in capsys.readouterr().out
-
-    def test_cmd_evaluate_warns_with_replacement(self, capsys):
-        import argparse
-        from repro.cli import cmd_evaluate
-        args = argparse.Namespace(
-            model="biasmf", dataset="tiny", seed=0, dim=8, layers=2,
-            ssl_weight=1.0, temperature=0.5, edge_threshold=0.2,
-            checkpoint=None, eval_chunk=None)
-        with pytest.warns(DeprecationWarning, match=r"evaluate"):
-            assert cmd_evaluate(args) == 0
-        assert "recall@20" in capsys.readouterr().out
-
-    def test_cmd_recommend_warns_with_replacement(self, tmp_path):
-        import argparse
-        from repro.cli import cmd_recommend
-        args = argparse.Namespace(
-            snapshot=str(tmp_path / "none.npz"), model=None, dataset=None,
-            users=None, k=5, workers=1, include_seen=False, output=None)
-        with pytest.warns(DeprecationWarning,
-                          match=r"repro\.api\.recommend_topk"):
-            assert cmd_recommend(args) == 2
-
-    def test_each_call_emits_exactly_one_warning(self):
-        import warnings as _warnings
-        from repro.cli import cmd_models
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            cmd_models(None)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_main_dispatch_does_not_warn(self, capsys):
-        import warnings as _warnings
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            main(["models"])
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        capsys.readouterr()
+class TestRunCommand:
+    """`repro run` specs and sweeps, and snapshot paths via `main()`."""
 
     def test_run_single_spec(self, tmp_path, capsys):
         spec = {"model": "biasmf", "dataset": "tiny",
@@ -359,10 +299,10 @@ class TestTrace:
              "pid": 100, "tid": 1, "args": {}},
             {"name": "train.epoch", "ph": "X", "ts": 2500.0, "dur": 4000.0,
              "pid": 100, "tid": 1, "args": {}},
-            {"name": "train.stale_batch", "ph": "X", "ts": 100.0,
+            {"name": "experiment.run", "ph": "X", "ts": 100.0,
              "dur": 500.0, "pid": 200, "tid": 1, "args": {}},
             {"name": "process_name", "ph": "M", "pid": 200, "tid": 0,
-             "args": {"name": "train-worker-0"}},
+             "args": {"name": "sweep-worker"}},
             {"name": "autograd.matmul", "ph": "C", "ts": 3000.0,
              "pid": 100, "tid": 0, "args": {"seconds": 0.5}},
         ]
@@ -370,7 +310,7 @@ class TestTrace:
         assert main(["trace", path]) == 0
         out = capsys.readouterr().out
         assert "2 process(es)" in out
-        assert "train-worker-0" in out
+        assert "sweep-worker" in out
         assert "train.epoch" in out
         assert "autograd.matmul" in out
         # 2 epochs of 2ms + 4ms

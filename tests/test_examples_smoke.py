@@ -79,13 +79,13 @@ def test_sweep(capsys):
     assert "nothing re-run" in out
 
 
-def test_parallel_training(capsys):
-    _load_example("parallel_training").main(
-        dataset="tiny", epochs=2, batch_size=128, propagate_every=2,
-        workers=2)
+def test_amortized_training(capsys):
+    exact, stale = _load_example("amortized_training").main(
+        dataset="tiny", epochs=2, batch_size=128, propagate_every=2)
     out = capsys.readouterr().out
-    assert "bit-identical to the in-process schedule" in out
-    assert "epochs/sec" in out
+    assert "stale (K=2)" in out
+    assert "epochs/sec" in out and "recall@20" in out
+    assert len(exact.history) == len(stale.history) == 2
 
 
 def test_denoising_case_study(capsys):

@@ -157,11 +157,11 @@ class TestCounterAndInstantEvents:
 
     def test_process_label_metadata(self):
         obs.enable_tracing(True)
-        obs.set_process_label("train-worker-0")
+        obs.set_process_label("sweep-worker")
         (event,) = obs.snapshot_events()
         assert event["ph"] == "M"
         assert event["name"] == "process_name"
-        assert event["args"]["name"] == "train-worker-0"
+        assert event["args"]["name"] == "sweep-worker"
 
 
 class TestRingBuffer:
@@ -195,13 +195,6 @@ class TestRingBuffer:
         obs.instant_event("after2")
         names = [e["name"] for e in obs.events_since(mark)]
         assert names == ["after1", "after2"]
-
-    def test_drain_empties_buffer(self):
-        obs.enable_tracing(True)
-        obs.instant_event("x")
-        drained = obs.drain_events()
-        assert [e["name"] for e in drained] == ["x"]
-        assert obs.snapshot_events() == []
 
     def test_absorb_merges_foreign_events(self):
         foreign = [
