@@ -24,11 +24,12 @@ Measures, on the gowalla profile with the paper's 60-epoch budget:
   shared-machine noise, and both rows plus the measured speedup land in
   the artifact (typical speedup ~1.15-1.35x on one core);
 * sweep-engine throughput (cells/sec over an 8-cell model x seed grid
-  on gowalla) — the sequential in-process path against the
-  ``workers=2`` process pool, with per-cell run-dir fingerprints
-  asserted bit-identical first; the parallel path is asserted faster
-  only on multi-core machines (process spawn + import costs ~1s per
-  worker, which one core cannot amortize);
+  on gowalla) — the sequential in-process path against
+  ``run_sweep(workers=2)``, which runs the cells on two local
+  ``repro worker`` processes over the dispatch queue, with per-cell
+  run-dir fingerprints asserted bit-identical first; the parallel path
+  is asserted faster only on multi-core machines (interpreter start +
+  import costs ~1s per worker, which one core cannot amortize);
 * the training-scheduler microbenchmark: the same 60-epoch budget under
   the exact loop and the K-stale schedule (``propagate_every=8``), the
   K-stale speedup asserted against the >= 1.5x acceptance floor; plus
@@ -472,13 +473,13 @@ SWEEP_EPOCHS = 12
 
 
 def test_sweep_engine_microbenchmark(tmp_path):
-    """Cells/sec over an 8-cell grid: sequential vs 2-worker pool.
+    """Cells/sec over an 8-cell grid: sequential vs 2 local workers.
 
     Parity first: every cell's run directory must be bit-identical
     (``run_dir_fingerprint``: everything except wall-clock fields)
     between the two schedules before throughput means anything.  The
-    worker pool is only asserted *faster* when the machine has more
-    than one usable core — spawned workers pay an interpreter + import
+    2-worker sweep is only asserted *faster* when the machine has more
+    than one usable core — each worker pays an interpreter + import
     startup cost that a single core cannot amortize — but both numbers
     are recorded, and the sequential cells/sec is trend-gated against
     the committed artifact (``check_hotpath_trend``).

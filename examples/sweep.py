@@ -1,9 +1,11 @@
-"""Parallel sweep walkthrough: grid -> worker pool -> leaderboard.
+"""Parallel sweep walkthrough: grid -> local workers -> leaderboard.
 
 The reproduction's core workload is the model x dataset x seed grid
 behind the paper's tables.  This example runs such a grid through the
-sweep engine (:mod:`repro.api.sweep`): cells execute on a process pool
-(``workers=N``; scheduling never changes results), one crashed cell
+sweep engine (:mod:`repro.api.sweep`): cells execute on ``N`` local
+dispatch workers (``workers=N``; ``repro worker`` processes draining a
+queue under the sweep directory; scheduling never changes results),
+one crashed cell
 cannot take down the sweep, every cell leaves a replayable run
 directory, and the aggregation layer turns the whole thing into a
 ranked leaderboard.  At the end the sweep is resumed, demonstrating
@@ -28,7 +30,7 @@ from repro.api import ExperimentSpec, SweepRunner, expand_grid
 def main(dataset="gowalla", models=("biasmf", "lightgcn", "sgl"),
          seeds=(0, 1), epochs=40, embedding_dim=32, workers=2,
          base_dir=None):
-    """Run a models x seeds grid on a worker pool and rank the cells."""
+    """Run a models x seeds grid on local workers and rank the cells."""
     base_dir = base_dir or tempfile.mkdtemp(prefix="repro-sweep-")
     base = ExperimentSpec(
         model=models[0], dataset=dataset,

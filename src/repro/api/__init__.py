@@ -30,7 +30,8 @@ Specs round-trip losslessly through plain dicts / JSON files (strict
 parsing: unknown keys raise, naming the bad field), runs persist a
 replayable run directory (:mod:`repro.api.rundir`), and the sweep
 engine (:mod:`repro.api.sweep`) grid-runs many specs — sequentially or
-over a process pool (``workers=N``), with per-cell failure isolation,
+on ``N`` local dispatch workers (``workers=N``), with per-cell failure
+isolation,
 ``SweepRunner.resume`` for partially-run sweeps, and
 :func:`aggregate_results` leaderboards.  The CLI
 (``repro train/evaluate/recommend/run``) is a thin shell over this

@@ -358,14 +358,16 @@ def run_cell(spec_dict: Dict, run_dir: Optional[str] = None,
              dataset_cache: Optional[Dict] = None) -> Dict:
     """Run one sweep cell; never raises — crashes become failure records.
 
-    This is the function :class:`repro.api.sweep.SweepRunner` ships to
-    its worker processes, so everything that crosses the process
-    boundary is spawn-safe by construction: the input is a plain spec
-    dict (the strict :meth:`ExperimentSpec.from_dict` round trip is the
-    wire format) and the output is the JSON-compatible
-    :meth:`RunResult.summary` payload.  Any exception — a bad spec, a
-    missing dataset file, a crash mid-fit — is caught and converted into
-    a ``{"status": "failed", "error": ..., "traceback": ...}`` summary;
+    This is the unit of work a dispatch worker
+    (:class:`repro.dispatch.DispatchWorker`, the engine behind
+    ``SweepRunner(workers=N)``) runs for an ``experiment`` task, so
+    everything that crosses the process boundary is plain data: the
+    input is a spec dict (the strict :meth:`ExperimentSpec.from_dict`
+    round trip is the wire format) and the output is the
+    JSON-compatible :meth:`RunResult.summary` payload.  Any exception
+    — a bad spec, a missing dataset file, a crash mid-fit — is caught
+    and converted into a ``{"status": "failed", "error": ...,
+    "traceback": ...}`` summary;
     when ``run_dir`` is set the failure is also persisted there
     (:func:`repro.api.rundir.write_failed_run_dir`), so one crashed cell
     never takes down the sweep around it.  A traced cell that crashes

@@ -1,14 +1,13 @@
-"""The sweep engine: process-parallel, fault-tolerant, resumable grids.
+"""The sweep engine: parallel, fault-tolerant, resumable grids.
 
 PR 4 made every sweep cell a self-contained, replayable
 :class:`~repro.api.ExperimentSpec`; this module turns that property into
 an execution engine.  :class:`SweepRunner` drives a grid of specs
 
-* **in parallel** over a ``ProcessPoolExecutor`` (``workers=N``; the
-  default ``workers=None`` keeps the classic sequential in-process
-  path).  Specs cross the process boundary as plain dicts through the
-  strict JSON round trip — the engine is spawn-safe by construction —
-  and each worker holds one dataset cache (:func:`_worker_init`), so a
+* **in parallel** (``workers=N``; the default ``workers=None`` keeps
+  the classic sequential in-process path): ``N`` local ``repro worker``
+  processes drain the cells from the dispatch queue (:mod:`repro.dispatch`)
+  as plain spec dicts, each worker holding one dataset cache, so a
   ``models x seeds`` grid loads every dataset once per worker, not once
   per cell;
 * **with per-cell failure isolation**: a cell that raises anywhere —
@@ -50,24 +49,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 import shutil
+import tempfile
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .experiment import Experiment, RunResult, run_cell
+from .experiment import Experiment, RunResult
 from .rundir import (STATUS_COMPLETED, STATUS_FAILED, STATUS_RUNNING,
                      TRACE_FILE, read_run_dir, read_status,
                      run_dir_is_complete, write_failed_run_dir)
 from .spec import ExperimentSpec
 from ..obs import (absorb_events, current_seq, events_since, export_trace,
                    span, trace_scope)
-from ..utils.threads import (apply_blas_thread_limit, blas_thread_budget,
-                             blas_thread_limit)
 
 #: the sweep-level manifest written into the base directory
 SWEEP_MANIFEST = "sweep.json"
@@ -77,10 +73,11 @@ SWEEP_SCHEMA = "sweep/v1"
 LEADERBOARD_FILE = "leaderboard.md"
 RESULTS_CSV_FILE = "results.csv"
 
-#: multiprocessing start method for the worker pool; ``spawn`` gives
-#: every worker a clean interpreter (no inherited locks / RNG state), so
-#: cells behave identically no matter which process runs them
-MP_START_METHOD = "spawn"
+#: load-time BLAS thread switches; each of N local workers gets
+#: ``cores // N`` threads, since N whole-machine pools oversubscribe it
+BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS")
 
 
 # --------------------------------------------------------------------- #
@@ -165,10 +162,6 @@ def assign_cell_names(specs: Sequence[ExperimentSpec]
     return cells
 
 
-#: backwards-compatible alias (pre-dispatch internal name)
-_assign_cell_names = assign_cell_names
-
-
 # --------------------------------------------------------------------- #
 # the manifest
 # --------------------------------------------------------------------- #
@@ -239,34 +232,6 @@ def read_sweep_manifest(sweep_dir: str) -> Dict:
 
 
 # --------------------------------------------------------------------- #
-# worker-side plumbing (must be module-level: pickled by qualified name)
-# --------------------------------------------------------------------- #
-
-_WORKER_DATASET_CACHE: Optional[Dict] = None
-
-
-def _worker_init(blas_threads: int = 0) -> None:
-    """Pool initializer: one dataset cache per worker process, so every
-    ``(dataset, seed, options)`` cell is loaded once per worker; also
-    pins the worker's BLAS pool to its share of the machine
-    (:mod:`repro.utils.threads`) so N cells don't oversubscribe cores."""
-    global _WORKER_DATASET_CACHE
-    _WORKER_DATASET_CACHE = {}
-    if blas_threads:
-        apply_blas_thread_limit(blas_threads)
-
-
-def _run_cell_task(spec_dict: Dict, run_dir: Optional[str],
-                   verbose: Optional[bool]) -> Dict:
-    """The unit of work a pool worker executes (see ``run_cell``)."""
-    global _WORKER_DATASET_CACHE
-    if _WORKER_DATASET_CACHE is None:
-        _WORKER_DATASET_CACHE = {}
-    return run_cell(spec_dict, run_dir=run_dir, verbose=verbose,
-                    dataset_cache=_WORKER_DATASET_CACHE)
-
-
-# --------------------------------------------------------------------- #
 # the engine
 # --------------------------------------------------------------------- #
 
@@ -284,10 +249,15 @@ class SweepRunner:
     workers:
         ``None`` (or ``0``) runs cells sequentially in-process — the
         classic path, whose results carry the full ``fit`` history.
-        ``N >= 1`` runs cells on an ``N``-worker spawn-based process
-        pool; results then carry the persisted summary (``fit=None``),
-        exactly like results reloaded from disk.  Output is
-        bit-identical either way (modulo wall-clock timings).
+        ``N >= 1`` runs the cells once each on ``N`` local ``repro
+        worker`` processes draining ``<base_dir>/queue`` (a temporary
+        directory when ``base_dir`` is unset); no epoch may outlast
+        :data:`repro.dispatch.DEFAULT_LEASE_TTL`.  The workers are fresh
+        interpreters that never import the calling script, so a
+        component registered only there is unknown to them.  Results
+        then carry the persisted summary (``fit=None``), exactly like
+        results reloaded from disk.  Output is bit-identical either way (modulo
+        wall-clock timings).
     verbose:
         Per-cell training verbosity override (``None`` keeps each
         spec's own setting).
@@ -322,7 +292,7 @@ class SweepRunner:
         self.verbose = verbose
         #: final ``(name, spec)`` per cell; names are claimed run-dir
         #: basenames once :meth:`run` has started
-        self.cells = _assign_cell_names(self.specs)
+        self.cells = assign_cell_names(self.specs)
         #: the :class:`SweepReport` aggregated at the end of :meth:`run`
         #: (``None`` before run, or when ``base_dir`` is unset)
         self.report: Optional[SweepReport] = None
@@ -449,52 +419,87 @@ class SweepRunner:
                         run_dir=run_dirs[i], dataset_cache=dataset_cache,
                         verbose=self.verbose)
             except Exception as exc:       # noqa: BLE001 — cell isolation
-                results[i] = self._record_failure(spec, run_dirs[i], exc)
+                results[i] = self._record_failure(
+                    spec, run_dirs[i], f"{type(exc).__name__}: {exc}",
+                    _traceback.format_exc())
 
     def _run_parallel(self, pending, run_dirs, results) -> None:
-        """Fan pending cells out over a spawn-based process pool."""
+        """Run pending cells on N local workers over the dispatch queue;
+        without a base directory, inside a temporary one."""
         if not pending:
             return
-        context = multiprocessing.get_context(MP_START_METHOD)
-        max_workers = min(self.workers, len(pending))
-        blas_threads = blas_thread_budget(max_workers)
-        with blas_thread_limit(blas_threads), \
-                ProcessPoolExecutor(max_workers=max_workers,
-                                    mp_context=context,
-                                    initializer=_worker_init,
-                                    initargs=(blas_threads,)) as pool:
-            futures = {i: pool.submit(_run_cell_task,
-                                      self.cells[i][1].to_dict(),
-                                      run_dirs[i], self.verbose)
-                       for i in pending}
-            for i, future in futures.items():
-                name, spec = self.cells[i]
-                try:
-                    with span("sweep.collect", cell=name):
-                        payload = future.result()
-                except Exception as exc:   # worker process died outright
-                    results[i] = self._record_failure(spec, run_dirs[i],
-                                                      exc)
+        if self.base_dir is not None:
+            self._run_on_queue(self.base_dir, pending, run_dirs, results)
+            return
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+            self._run_on_queue(
+                scratch, pending,
+                [os.path.join(scratch, name) for name, _ in self.cells],
+                results)
+        for i in pending:
+            results[i].run_dir = None
+            results[i].artifacts = {
+                role: path for role, path in results[i].artifacts.items()
+                if not path.startswith(scratch + os.sep)}
+
+    def _run_on_queue(self, sweep_dir, pending, run_dirs, results) -> None:
+        """Enqueue, run the workers, read back this sweep's cells, and
+        remove their queue records."""
+        # deferred: repro.dispatch builds on this module
+        from ..dispatch import DEAD, DONE, QueueBroker, launch_worker, \
+            make_task
+        broker = QueueBroker(sweep_dir)
+        names = [self.cells[i][0] for i in pending]
+        for i, name in zip(pending, names):
+            # a record left by a killed sweep would make enqueue a no-op,
+            # so the cell would silently never run
+            broker.forget(name)
+            task = make_task(name, self.cells[i][1].to_dict(),
+                             max_attempts=1)
+            task["verbose"] = self.verbose
+            broker.enqueue(task)
+        workers = min(self.workers, len(pending))
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        threads = str(max(1, cores // workers))
+        # a short poll: idle workers only wait for the last cells, so
+        # the interval bounds the sweep's tail latency
+        procs = [launch_worker(sweep_dir, poll_interval=0.05,
+                               extra_env=dict.fromkeys(BLAS_ENV_VARS,
+                                                       threads))
+                 for _ in range(workers)]
+        try:
+            with span("sweep.workers", workers=workers):
+                codes = [proc.wait() for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:     # interrupted: reap the rest
+                    proc.kill()
+                    proc.wait()
+        with span("sweep.collect", cells=len(pending)):
+            for i, name in zip(pending, names):
+                task = broker.read_task(DONE, name) \
+                    or broker.read_task(DEAD, name) or {}
+                broker.forget(name)
+                summary = task.get("result")
+                if summary is None:
+                    results[i] = self._record_failure(
+                        self.cells[i][1], run_dirs[i],
+                        task.get("error") or "no worker finished the "
+                        f"cell (worker exit codes {codes})")
                     continue
-                trace_events = payload.get("trace_events")
-                if trace_events:
+                if summary.get("trace_events"):
                     # worker spans crossed the process boundary in the
                     # summary; absorbing them here (and only here) keeps
                     # the parent's merged trace exactly-once
-                    absorb_events(trace_events)
-                results[i] = RunResult(
-                    spec=spec, metrics=payload["metrics"],
-                    best_epoch=payload["best_epoch"],
-                    timing=payload["timing"], probes=payload["probes"],
-                    artifacts=payload["artifacts"],
-                    run_dir=payload["run_dir"],
-                    status=payload["status"], error=payload.get("error"),
-                    trace_events=trace_events)
+                    absorb_events(summary["trace_events"])
+                results[i] = RunResult.from_summary(summary)
+            broker.remove_if_empty()
 
-    def _record_failure(self, spec, run_dir, exc) -> RunResult:
-        """Convert an in-parent exception into a failed cell record."""
-        error = f"{type(exc).__name__}: {exc}"
-        tb = _traceback.format_exc()
+    def _record_failure(self, spec, run_dir, error: str,
+                        tb: str = "") -> RunResult:
+        """Turn a cell that produced no summary into a failed record."""
         status = read_status(run_dir) if run_dir is not None else None
         # only a *terminal* status already on disk wins; a leftover
         # heartbeat ("running") means the cell died mid-fit and the
@@ -517,8 +522,9 @@ def run_sweep(specs: Iterable, base_dir: Optional[str] = None,
     (name collisions get a numeric suffix through an atomic
     ``os.mkdir`` claim, so repeated cells never clobber each other),
     plus the sweep manifest and aggregation artifacts.  ``workers=N``
-    executes cells on an ``N``-worker process pool; crashed cells
-    record ``status: failed`` instead of raising.  Returns one
+    executes cells on ``N`` local dispatch workers (``repro worker``
+    processes, see :class:`SweepRunner`); crashed cells record
+    ``status: failed`` instead of raising.  Returns one
     :class:`RunResult` per spec, in order.
 
     Example::

@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sweep-seeds", default=None, dest="sweep_seeds",
                        help="comma-separated seed axis to grid over")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="run sweep cells on an N-worker process pool "
+                       help="run sweep cells on N local dispatch workers "
                             "(default: sequential in-process; output is "
                             "bit-identical either way)")
     p_run.add_argument("--resume", default=None, metavar="SWEEP_DIR",

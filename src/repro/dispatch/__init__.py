@@ -11,19 +11,10 @@ can form small DAGs with artifact hand-offs (:mod:`.dag`) — train a
 model, publish its snapshot, evaluate the snapshot — gated purely by
 done records in the queue.
 
-Quick start::
-
-    from repro.api import ExperimentSpec, expand_grid
-    from repro.dispatch import dispatch_sweep
-
-    base = ExperimentSpec(model="biasmf", dataset="tiny",
-                          train_config={"epochs": 2})
-    results = dispatch_sweep(expand_grid(base, seeds=[0, 1]),
-                             "runs/my-sweep", workers=2)
-
-or, cross-machine: :func:`enqueue_sweep` here, ``repro worker
-runs/my-sweep`` on every box, then :func:`wait_for_queue` +
-:func:`collect_results` anywhere.
+On one machine, ``repro.api.run_sweep(specs, "runs/my-sweep",
+workers=2)`` runs on this queue with two local workers.  Cross-machine:
+:func:`enqueue_sweep` here, ``repro worker runs/my-sweep`` on every box,
+then :func:`wait_for_queue` + :func:`collect_results` anywhere.
 """
 
 from .queue import (DEAD, DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS,
@@ -33,7 +24,7 @@ from .queue import (DEAD, DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS,
 from .dag import (ARTIFACT_REF_PREFIX, artifact_refs, parse_artifact_ref,
                   resolve_artifacts, task_kinds, validate_pipeline)
 from .worker import DEFAULT_POLL_INTERVAL, DispatchWorker, default_worker_id
-from .coordinator import (collect_results, dispatch_report, dispatch_sweep,
+from .coordinator import (collect_results, dispatch_report,
                           enqueue_pipeline, enqueue_sweep, launch_worker,
                           wait_for_queue)
 
@@ -47,5 +38,4 @@ __all__ = [
     "DEFAULT_POLL_INTERVAL", "DispatchWorker", "default_worker_id",
     "enqueue_sweep", "enqueue_pipeline", "wait_for_queue",
     "collect_results", "dispatch_report", "launch_worker",
-    "dispatch_sweep",
 ]

@@ -11,8 +11,8 @@ baseline, SIGKILLed workers and all.
 
 Typical shapes::
 
-    # one-call local convenience: queue + N subprocess workers + merge
-    results = dispatch_sweep(specs, sweep_dir, workers=2)
+    # one machine: run_sweep(specs, sweep_dir, workers=2) enqueues the
+    # cells and runs two local workers (see repro.api.sweep)
 
     # cross-machine: enqueue here, run `repro worker <dir>` anywhere
     enqueue_sweep(specs, sweep_dir)
@@ -199,38 +199,3 @@ def launch_worker(sweep_dir: str, worker_id: Optional[str] = None,
     if drain_when_empty:
         cmd += ["--drain-when-empty"]
     return subprocess.Popen(cmd, env=env)
-
-
-def dispatch_sweep(specs: Iterable, sweep_dir: str, workers: int = 1,
-                   max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                   lease_ttl: float = DEFAULT_LEASE_TTL,
-                   timeout: Optional[float] = None) -> List[RunResult]:
-    """One-call dispatched sweep: enqueue, run N local workers, merge.
-
-    The local convenience wrapper over the cross-machine flow — same
-    queue, same worker binary (as subprocesses), same merge — used by
-    the benchmarks and anywhere a one-machine sweep wants crash-safe
-    retries.  Results come back in queue order (done cells first is
-    *not* guaranteed; order follows cell names), with dead-lettered
-    cells as failed results.
-    """
-    names = enqueue_sweep(specs, sweep_dir, max_attempts=max_attempts)
-    procs = [launch_worker(sweep_dir, worker_id=f"local-{i}",
-                           lease_ttl=lease_ttl)
-             for i in range(max(1, int(workers)))]
-    settled = False
-    try:
-        settled = wait_for_queue(sweep_dir, timeout=timeout)
-    finally:
-        for proc in procs:
-            if proc.poll() is None and not settled:
-                proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=30)
-    if not settled:
-        raise TimeoutError(
-            f"dispatched sweep did not settle within {timeout}s "
-            f"({len(names)} cells)")
-    results = collect_results(sweep_dir)
-    by_name = {os.path.basename(r.run_dir or ""): r for r in results}
-    return [by_name[name] for name in names if name in by_name]

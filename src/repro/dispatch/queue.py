@@ -392,7 +392,8 @@ class QueueBroker:
         return None
 
     def ack_failed(self, name: str, error: str,
-                   traceback_text: Optional[str] = None) -> Dict:
+                   traceback_text: Optional[str] = None,
+                   result: Optional[Dict] = None) -> Dict:
         """Record a failed attempt; retry with backoff or dead-letter.
 
         The attempt post-mortem is archived under ``failed/`` either
@@ -400,10 +401,10 @@ class QueueBroker:
         with ``not_before`` pushed out by the exponential backoff (on
         the broker clock); once ``max_attempts`` is exhausted it moves
         to ``dead/``, where the DAG fast-fail sweep will also kill its
-        descendants.  Single-winner: the task file is atomically
-        detached first, so a worker acking its own crash and a reaper
-        expiring the same lease cannot both count an attempt.  Returns
-        the updated task.
+        descendants, keeping ``result`` (the failed summary, if any).
+        Single-winner: the task file is atomically detached first, so a
+        worker acking its own crash and a reaper expiring the same lease
+        cannot both count an attempt.  Returns the updated task.
         """
         owned = self._take_ownership(name)
         if owned is None:
@@ -422,6 +423,7 @@ class QueueBroker:
              "wall_time": time.time()})
         if attempt >= int(task.get("max_attempts", 1)):
             task["error"] = error
+            task["result"] = result
             target = DEAD
             counter("dispatch.dead_letters",
                     help="cells dead-lettered after max_attempts").inc()
@@ -440,6 +442,37 @@ class QueueBroker:
         except FileNotFoundError:
             pass
         return task
+
+    def forget(self, name: str) -> None:
+        """Delete every record of ``name`` (any state, failure archive),
+        so a producer can enqueue that name again (see :meth:`enqueue`)."""
+        failed_dir = os.path.join(self.queue_dir, FAILED)
+        archived = [os.path.join(failed_dir, entry)
+                    for entry in (os.listdir(failed_dir)
+                                  if os.path.isdir(failed_dir) else ())
+                    if entry.startswith(f"{name}.attempt-")]
+        for path in [self._path(state, name) for state in STATES] \
+                + archived:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+
+    def remove_if_empty(self) -> bool:
+        """Delete the queue layout unless a state directory still holds
+        a record or a drain is requested; returns whether it is gone."""
+        if self.drain_requested():
+            return False
+        try:
+            for state in STATES + (FAILED,):
+                os.rmdir(os.path.join(self.queue_dir, state))
+            probe = os.path.join(self.queue_dir, CLOCK_PROBE)
+            if os.path.exists(probe):
+                os.unlink(probe)
+            os.rmdir(self.queue_dir)
+        except OSError:
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # the reaper + DAG fast-fail

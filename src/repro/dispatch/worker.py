@@ -35,7 +35,7 @@ import time
 import traceback as _traceback
 from typing import Dict, Optional
 
-from ..api.experiment import RunResult
+from ..api.experiment import RunResult, run_cell
 from ..api.rundir import (add_heartbeat_listener, remove_heartbeat_listener,
                           run_dir_is_complete)
 from ..obs import counter, set_process_label, span
@@ -87,7 +87,8 @@ class DispatchWorker:
         self.max_tasks = max_tasks
         self.tasks_run = 0
         #: per-process dataset cache shared across this worker's
-        #: experiment cells (same contract as the sweep pool workers)
+        #: experiment cells: each ``(dataset, seed, options)`` loads once
+        #: per worker, not once per cell
         self._dataset_cache: Dict = {}
         self._current: Optional[str] = None     # cell being executed
 
@@ -169,7 +170,8 @@ class DispatchWorker:
         if summary.get("status") == "failed":
             self._ack(name, failed=True,
                       error=summary.get("error") or "failed",
-                      traceback_text=summary.get("traceback"))
+                      traceback_text=summary.get("traceback"),
+                      summary=summary)
         else:
             self._ack(name, summary=summary)
 
@@ -187,7 +189,7 @@ class DispatchWorker:
         try:
             if failed:
                 self.broker.ack_failed(name, error or "failed",
-                                       traceback_text)
+                                       traceback_text, result=summary)
             else:
                 self.broker.ack_done(name, summary)
         except KeyError:
@@ -201,11 +203,13 @@ class DispatchWorker:
         payload = resolve_artifacts(self.broker, task["payload"])
         run_dir = self.run_dir_for(task["name"])
         if task["kind"] == "experiment":
-            return self._run_experiment(payload, run_dir)
+            return self._run_experiment(payload, run_dir,
+                                        verbose=task.get("verbose"))
         os.makedirs(run_dir, exist_ok=True)
         return executor(payload, run_dir)
 
-    def _run_experiment(self, spec_dict: Dict, run_dir: str) -> Dict:
+    def _run_experiment(self, spec_dict: Dict, run_dir: str,
+                        verbose: Optional[bool] = None) -> Dict:
         """Run (or adopt) one experiment cell in its run directory.
 
         Adoption first: a directory that already validates as complete
@@ -224,5 +228,5 @@ class DispatchWorker:
                 return RunResult.load(run_dir).summary()
             shutil.rmtree(run_dir)
         os.makedirs(run_dir)
-        executor = task_kinds().get("experiment")
-        return executor(spec_dict, run_dir)
+        return run_cell(spec_dict, run_dir, verbose=verbose,
+                        dataset_cache=self._dataset_cache)

@@ -3,12 +3,6 @@
 from .rng import seeded_rng, spawn_rngs
 from .timer import Timer
 from .registry import Registry, component_registry, component_kinds
-from .threads import (BLAS_ENV_VARS, BLAS_THREADS_ENV, available_cores,
-                      apply_blas_thread_limit, blas_thread_budget,
-                      blas_thread_limit)
 
 __all__ = ["seeded_rng", "spawn_rngs", "Timer", "Registry",
-           "component_registry", "component_kinds",
-           "BLAS_ENV_VARS", "BLAS_THREADS_ENV", "available_cores",
-           "apply_blas_thread_limit", "blas_thread_budget",
-           "blas_thread_limit"]
+           "component_registry", "component_kinds"]

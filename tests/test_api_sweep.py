@@ -16,6 +16,10 @@ Acceptance contract of the sweep PR:
 import json
 import os
 import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -115,6 +119,88 @@ class TestParallelParity:
                             base_dir=base_dir)
         assert run_dir_fingerprint(results[0].run_dir) != \
             run_dir_fingerprint(results[1].run_dir)
+
+
+# --------------------------------------------------------------------- #
+# local dispatch workers (workers=N)
+# --------------------------------------------------------------------- #
+
+def _repro_pythonpath() -> str:
+    import repro
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    existing = os.environ.get("PYTHONPATH")
+    return os.pathsep.join(p for p in (root, existing) if p)
+
+
+class TestLocalWorkers:
+    def test_without_base_dir_leaves_nothing_on_disk(self, tmp_path,
+                                                     monkeypatch):
+        """``repro run --workers N`` without ``--run-dir``: the cells run
+        in a temporary directory that is gone afterwards."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        specs = expand_grid(_fast_spec(), seeds=[0, 1])
+        seq = run_sweep(specs)
+        par = run_sweep(specs, workers=2)
+        assert [r.status for r in par] == ["completed"] * 2
+        for a, b in zip(seq, par):
+            assert b.metrics == a.metrics
+            assert b.best_epoch == a.best_epoch
+            assert b.run_dir is None
+        assert os.listdir(scratch) == []
+
+    def test_unguarded_driver_script_completes(self, tmp_path):
+        """Workers never import the caller's script, so a driver without
+        an ``if __name__ == "__main__":`` guard still runs every cell."""
+        base_dir = str(tmp_path / "sweep")
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent(f"""\
+            from repro.api import ExperimentSpec, expand_grid, run_sweep
+            base = ExperimentSpec(model="biasmf", dataset="tiny",
+                                  model_config={{"embedding_dim": 8}},
+                                  train_config={FAST_TRAIN!r})
+            results = run_sweep(expand_grid(base, seeds=[0, 1]),
+                                base_dir={base_dir!r}, workers=2)
+            print(",".join(r.status for r in results))
+            """))
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=_repro_pythonpath()),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "completed,completed"
+        # the sweep removed its queue records (and the emptied queue)
+        assert not os.path.exists(os.path.join(base_dir, "queue"))
+
+    def test_workers_split_blas_threads(self, tmp_path, monkeypatch):
+        """Each of N local workers gets ``cores // N`` BLAS threads."""
+        launched = []
+
+        class FakeWorker:
+            def __init__(self, cmd, env=None, **kwargs):
+                launched.append(env)
+
+            def wait(self, timeout=None):
+                return 0
+
+            def poll(self):
+                return 0
+
+        monkeypatch.setattr(subprocess, "Popen", FakeWorker)
+        results = run_sweep(expand_grid(_fast_spec(), seeds=[0, 1, 2]),
+                            base_dir=str(tmp_path / "sweep"), workers=2)
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        expected = str(max(1, cores // 2))
+        assert len(launched) == 2
+        for env in launched:
+            assert env["OPENBLAS_NUM_THREADS"] == expected
+            assert env["OMP_NUM_THREADS"] == expected
+        # workers that exit without running a cell fail it, not hang
+        assert [r.status for r in results] == ["failed"] * 3
+        assert "no worker finished" in results[0].error
 
 
 # --------------------------------------------------------------------- #

@@ -358,6 +358,19 @@ class TestDispatchedSweep:
         (result,) = collect_results(disp_dir)
         assert result.status == "completed"
 
+    def test_worker_loads_each_dataset_once(self, tmp_path, monkeypatch):
+        import repro.api.experiment as experiment
+        loads = []
+        resolve = experiment.resolve_dataset
+        monkeypatch.setattr(
+            experiment, "resolve_dataset",
+            lambda name, **kw: loads.append(name) or resolve(name, **kw))
+        disp_dir = str(tmp_path / "disp")
+        enqueue_sweep(expand_grid(_fast_spec(),
+                                  models=["biasmf", "lightgcn"]), disp_dir)
+        assert DispatchWorker(disp_dir, max_tasks=2).run() == 2
+        assert loads == ["tiny"]
+
     def test_worker_renews_lease_from_heartbeats(self, tmp_path):
         disp_dir = str(tmp_path / "disp")
         (name,) = enqueue_sweep([_fast_spec()], disp_dir)
