@@ -28,6 +28,7 @@ from repro.api import (ExperimentSpec, RunResult, SweepRunner,
                        aggregate_results, claim_run_dir, expand_grid,
                        read_sweep_manifest, run_dir_fingerprint,
                        run_dir_is_complete, run_sweep)
+from repro.api.sweep import BLAS_ENV_VARS
 from repro.data import save_tsv, tiny_dataset
 
 FAST_TRAIN = {"epochs": 2, "batch_size": 128, "eval_every": 2}
@@ -132,6 +133,25 @@ def _repro_pythonpath() -> str:
     return os.pathsep.join(p for p in (root, existing) if p)
 
 
+def _fake_workers(monkeypatch):
+    """Replace ``subprocess.Popen`` with workers that exit at once;
+    returns the list their launch environments are appended to."""
+    launched = []
+
+    class FakeWorker:
+        def __init__(self, cmd, env=None, **kwargs):
+            launched.append(env)
+
+        def wait(self, timeout=None):
+            return 0
+
+        def poll(self):
+            return 0
+
+    monkeypatch.setattr(subprocess, "Popen", FakeWorker)
+    return launched
+
+
 class TestLocalWorkers:
     def test_without_base_dir_leaves_nothing_on_disk(self, tmp_path,
                                                      monkeypatch):
@@ -175,19 +195,7 @@ class TestLocalWorkers:
 
     def test_workers_split_blas_threads(self, tmp_path, monkeypatch):
         """Each of N local workers gets ``cores // N`` BLAS threads."""
-        launched = []
-
-        class FakeWorker:
-            def __init__(self, cmd, env=None, **kwargs):
-                launched.append(env)
-
-            def wait(self, timeout=None):
-                return 0
-
-            def poll(self):
-                return 0
-
-        monkeypatch.setattr(subprocess, "Popen", FakeWorker)
+        launched = _fake_workers(monkeypatch)
         results = run_sweep(expand_grid(_fast_spec(), seeds=[0, 1, 2]),
                             base_dir=str(tmp_path / "sweep"), workers=2)
         cores = (len(os.sched_getaffinity(0))
@@ -201,6 +209,24 @@ class TestLocalWorkers:
         # workers that exit without running a cell fail it, not hang
         assert [r.status for r in results] == ["failed"] * 3
         assert "no worker finished" in results[0].error
+
+    def test_blas_cap_floors_at_one_and_spares_the_parent(self, tmp_path,
+                                                          monkeypatch):
+        """More workers than cores still get one thread each, and the
+        cap lives only in the workers' environment."""
+        for var in BLAS_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        launched = _fake_workers(monkeypatch)
+        run_sweep(expand_grid(_fast_spec(), seeds=[0, 1]),
+                  base_dir=str(tmp_path / "sweep"), workers=2)
+        assert len(launched) == 2
+        for env in launched:
+            for var in BLAS_ENV_VARS:
+                assert env[var] == "1"
+        for var in BLAS_ENV_VARS:
+            assert var not in os.environ
 
 
 # --------------------------------------------------------------------- #

@@ -216,6 +216,45 @@ class TestBroker:
         with pytest.raises(FileNotFoundError, match="no dispatch queue"):
             QueueBroker(str(tmp_path / "nope")).status()
 
+    def test_dead_letter_keeps_failed_summary(self, tmp_path):
+        broker = QueueBroker(str(tmp_path))
+        broker.enqueue(make_task("a", {}, max_attempts=1))
+        broker.claim("w1")
+        summary = {"status": "failed", "error": "boom"}
+        broker.ack_failed("a", "boom", result=summary)
+        dead = broker.read_task(DEAD, "a")
+        assert dead["error"] == "boom"
+        assert dead["result"] == summary
+
+    def test_forget_lets_a_dead_name_be_enqueued_again(self, tmp_path):
+        broker = QueueBroker(str(tmp_path))
+        task = make_task("a", {}, max_attempts=1)
+        broker.enqueue(task)
+        broker.enqueue(make_task("a2", {}))
+        broker.claim("w1")
+        broker.ack_failed("a", "boom")
+        assert not broker.enqueue(task)         # dead: a no-op
+        broker.forget("a")
+        broker.forget("never-enqueued")         # nothing to delete
+        assert broker.names(DEAD) == []
+        assert os.listdir(os.path.join(broker.queue_dir, "failed")) == []
+        assert broker.names(PENDING) == ["a2"]  # other names untouched
+        assert broker.enqueue(task)
+        assert broker.names(PENDING) == ["a", "a2"]
+
+    def test_remove_if_empty_keeps_a_queue_in_use(self, tmp_path):
+        broker = QueueBroker(str(tmp_path))
+        broker.enqueue(make_task("a", {}))
+        assert not broker.remove_if_empty()     # a record remains
+        broker.forget("a")
+        broker.drain()
+        assert not broker.remove_if_empty()     # a drain is requested
+        os.unlink(os.path.join(broker.queue_dir, "DRAIN"))
+        broker.broker_now()                     # leaves the clock probe
+        assert broker.remove_if_empty()
+        assert not os.path.exists(broker.queue_dir)
+        assert os.listdir(tmp_path) == []
+
 
 # --------------------------------------------------------------------- #
 # DAG gating, artifact references, pipeline validation
