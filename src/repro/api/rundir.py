@@ -53,7 +53,7 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 SPEC_FILE = "spec.json"
 STATUS_FILE = "status.json"
@@ -236,21 +236,15 @@ def _carry_heartbeat(run_dir: str) -> Dict:
 #: ``TrainConfig.heartbeat_seconds``.
 DEFAULT_HEARTBEAT_SECONDS = 0.0
 
-#: registered ``fn(run_dir, epoch)`` callbacks invoked after every
-#: heartbeat stamp (see :func:`add_heartbeat_listener`)
-_HEARTBEAT_LISTENERS: List[Callable[[str, Optional[int]], None]] = []
-
-
 def heartbeat_cadence(configured: Optional[float] = None) -> float:
     """Resolve the heartbeat cadence for a run, in seconds.
 
     Precedence: an explicit ``TrainConfig.heartbeat_seconds`` value,
     then the ``REPRO_HEARTBEAT_SECONDS`` environment variable, then
     :data:`DEFAULT_HEARTBEAT_SECONDS`.  ``0`` means "stamp on every
-    epoch"; larger values rate-limit the ``status.json`` rewrite (and
-    any registered listeners) to at most one per cadence window —
-    measured on the *monotonic* clock, so a wall-clock jump can neither
-    flood nor suppress heartbeats.
+    epoch"; larger values rate-limit the ``status.json`` rewrite to at
+    most one per cadence window — measured on the *monotonic* clock, so
+    a wall-clock jump can neither flood nor suppress heartbeats.
     """
     if configured is not None:
         return max(0.0, float(configured))
@@ -262,29 +256,6 @@ def heartbeat_cadence(configured: Optional[float] = None) -> float:
             raise ValueError(
                 f"REPRO_HEARTBEAT_SECONDS={env!r} is not a number")
     return DEFAULT_HEARTBEAT_SECONDS
-
-
-def add_heartbeat_listener(fn: Callable[[str, Optional[int]], None]
-                           ) -> Callable:
-    """Register ``fn(run_dir, epoch)`` to run after each heartbeat stamp.
-
-    This is the hook the dispatch layer (:mod:`repro.dispatch`) renews
-    its queue leases from: proving liveness to the run directory and to
-    the broker are the same event, so a worker that stops heartbeating
-    loses its lease exactly when its cell looks hung.  Returns ``fn``
-    so the caller can hand it straight to
-    :func:`remove_heartbeat_listener`.
-    """
-    _HEARTBEAT_LISTENERS.append(fn)
-    return fn
-
-
-def remove_heartbeat_listener(fn: Callable) -> None:
-    """Unregister a :func:`add_heartbeat_listener` callback (idempotent)."""
-    try:
-        _HEARTBEAT_LISTENERS.remove(fn)
-    except ValueError:
-        pass
 
 
 def write_heartbeat(run_dir: str, epoch: Optional[int] = None) -> str:
@@ -302,16 +273,13 @@ def write_heartbeat(run_dir: str, epoch: Optional[int] = None) -> str:
     feeds :func:`run_dir_fingerprint`, so the stamps never break
     determinism comparisons — and a killed run's leftover ``running``
     state correctly fails :func:`run_dir_is_complete`, forcing a re-run
-    on resume.  Registered heartbeat listeners fire after the stamp.
+    on resume.
     """
     extra: Dict = {"last_heartbeat": time.time(),
                    "heartbeat_monotonic": time.monotonic()}
     if epoch is not None:
         extra["epoch"] = int(epoch)
-    path = write_status(run_dir, STATUS_RUNNING, extra=extra)
-    for listener in list(_HEARTBEAT_LISTENERS):
-        listener(run_dir, epoch)
-    return path
+    return write_status(run_dir, STATUS_RUNNING, extra=extra)
 
 
 def read_status(run_dir: str) -> Optional[Dict[str, str]]:

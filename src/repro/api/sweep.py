@@ -51,7 +51,10 @@ import io
 import json
 import os
 import shutil
+import socket
+import subprocess
 import tempfile
+import threading
 import traceback as _traceback
 from dataclasses import dataclass, field
 from itertools import product
@@ -62,8 +65,9 @@ from .rundir import (STATUS_COMPLETED, STATUS_FAILED, STATUS_RUNNING,
                      TRACE_FILE, read_run_dir, read_status,
                      run_dir_is_complete, write_failed_run_dir)
 from .spec import ExperimentSpec
-from ..obs import (absorb_events, current_seq, events_since, export_trace,
-                   span, trace_scope)
+from ..obs import (absorb_events, console, current_seq, events_since,
+                   export_trace, span, trace_scope)
+from ..utils.registry import component_registry
 
 #: the sweep-level manifest written into the base directory
 SWEEP_MANIFEST = "sweep.json"
@@ -144,13 +148,16 @@ def assign_cell_names(specs: Sequence[ExperimentSpec]
                       ) -> List[Tuple[str, ExperimentSpec]]:
     """Deterministic per-cell names: run_name plus in-sweep collision
     suffixes (``-2``, ``-3``, ... — repeated cells never share a dir).
+    The dispatch queue's directory name (``queue``) counts as taken, so
+    no cell's run directory can be the queue.
 
     Public because every sweep *engine* must agree on this mapping: the
     dispatch coordinator (:mod:`repro.dispatch`) names its queue cells
     through the same function, which is what makes a dispatched sweep's
     run directories line up one-to-one with a sequential sweep's.
     """
-    used: Dict[str, int] = {}
+    from ..dispatch import QUEUE_DIRNAME    # deferred: dispatch imports us
+    used: Dict[str, int] = {QUEUE_DIRNAME: 1}
     cells = []
     for spec in specs:
         name = spec.run_name
@@ -251,13 +258,13 @@ class SweepRunner:
         classic path, whose results carry the full ``fit`` history.
         ``N >= 1`` runs the cells once each on ``N`` local ``repro
         worker`` processes draining ``<base_dir>/queue`` (a temporary
-        directory when ``base_dir`` is unset); no epoch may outlast
-        :data:`repro.dispatch.DEFAULT_LEASE_TTL`.  The workers are fresh
-        interpreters that never import the calling script, so a
-        component registered only there is unknown to them.  Results
-        then carry the persisted summary (``fit=None``), exactly like
-        results reloaded from disk.  Output is bit-identical either way (modulo
-        wall-clock timings).
+        directory when ``base_dir`` is unset); their results carry the
+        persisted summary (``fit=None``), exactly like results reloaded
+        from disk.  The workers are fresh interpreters that import only
+        ``repro``, so a cell naming a component registered elsewhere
+        (e.g. in the calling script) runs in-process afterwards
+        instead.  Output is bit-identical either way (modulo wall-clock
+        timings).
     verbose:
         Per-cell training verbosity override (``None`` keeps each
         spec's own setting).
@@ -424,23 +431,34 @@ class SweepRunner:
                     _traceback.format_exc())
 
     def _run_parallel(self, pending, run_dirs, results) -> None:
-        """Run pending cells on N local workers over the dispatch queue;
-        without a base directory, inside a temporary one."""
-        if not pending:
-            return
-        if self.base_dir is not None:
-            self._run_on_queue(self.base_dir, pending, run_dirs, results)
-            return
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-            self._run_on_queue(
-                scratch, pending,
-                [os.path.join(scratch, name) for name, _ in self.cells],
-                results)
-        for i in pending:
-            results[i].run_dir = None
-            results[i].artifacts = {
-                role: path for role, path in results[i].artifacts.items()
-                if not path.startswith(scratch + os.sep)}
+        """Run pending cells on N local workers over the dispatch queue
+        (without a base directory, inside a temporary one), then the
+        cells the workers cannot resolve in-process."""
+        from ..dispatch import QUEUE_DIRNAME
+        if any(name == QUEUE_DIRNAME for name, _ in self.cells):
+            # a manifest written before the name was reserved: its cell
+            # owns the directory the queue would live in
+            local = set(pending)
+        else:
+            local = {i for i in pending
+                     if not _workers_know(self.cells[i][1])}
+        queued = [i for i in pending if i not in local]
+        if queued and self.base_dir is not None:
+            self._run_on_queue(self.base_dir, queued, run_dirs, results)
+        elif queued:
+            with tempfile.TemporaryDirectory(prefix="repro-sweep-") \
+                    as scratch:
+                self._run_on_queue(
+                    scratch, queued,
+                    [os.path.join(scratch, name) for name, _ in self.cells],
+                    results)
+            for i in queued:
+                results[i].run_dir = None
+                results[i].artifacts = {
+                    role: path
+                    for role, path in results[i].artifacts.items()
+                    if not path.startswith(scratch + os.sep)}
+        self._run_sequential(sorted(local), run_dirs, results)
 
     def _run_on_queue(self, sweep_dir, pending, run_dirs, results) -> None:
         """Enqueue, run the workers, read back this sweep's cells, and
@@ -467,8 +485,13 @@ class SweepRunner:
         # the interval bounds the sweep's tail latency
         procs = [launch_worker(sweep_dir, poll_interval=0.05,
                                extra_env=dict.fromkeys(BLAS_ENV_VARS,
-                                                       threads))
+                                                       threads),
+                               stdout=subprocess.PIPE)
                  for _ in range(workers)]
+        relays = [threading.Thread(target=_relay_stdout, args=(proc,),
+                                   daemon=True) for proc in procs]
+        for relay in relays:
+            relay.start()
         try:
             with span("sweep.workers", workers=workers):
                 codes = [proc.wait() for proc in procs]
@@ -477,6 +500,8 @@ class SweepRunner:
                 if proc.poll() is None:     # interrupted: reap the rest
                     proc.kill()
                     proc.wait()
+            for relay in relays:
+                relay.join()
         with span("sweep.collect", cells=len(pending)):
             for i, name in zip(pending, names):
                 task = broker.read_task(DONE, name) \
@@ -509,6 +534,33 @@ class SweepRunner:
             write_failed_run_dir(run_dir, spec, error, tb)
         return RunResult(spec=spec, metrics={}, run_dir=run_dir,
                          status=STATUS_FAILED, error=error)
+
+
+def _workers_know(spec: ExperimentSpec) -> bool:
+    """Whether every component ``spec`` names is registered by ``repro``
+    itself, i.e. also known to a fresh ``repro worker`` interpreter."""
+    named = {"model": [spec.model], "dataset": [spec.dataset],
+             "metric": spec.eval.metrics, "probe": list(spec.probes)}
+    for kind, names in named.items():
+        registry = component_registry(kind)
+        for name in names:
+            module = (getattr(registry.get(name), "__module__", None)
+                      if name in registry else "repro")
+            if (module or "").split(".")[0] != "repro":
+                return False
+    return True
+
+
+def _relay_stdout(proc) -> None:
+    """Copy a local worker's stdout (cell progress lines) to ours, minus
+    the worker's closing ``worker <id>: N task(s) executed`` line."""
+    closing = f"worker {socket.gethostname()}:{proc.pid}: "
+    for line in io.TextIOWrapper(proc.stdout, errors="replace"):
+        if not line.startswith(closing):
+            try:
+                console(line.rstrip("\n"))
+            except (OSError, ValueError):   # keep draining regardless,
+                pass                        # or the worker blocks
 
 
 def run_sweep(specs: Iterable, base_dir: Optional[str] = None,

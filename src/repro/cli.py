@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--lease-ttl", type=float, default=60.0,
                           dest="lease_ttl",
                           help="seconds a lease survives without a "
-                               "heartbeat renewal (must exceed the "
-                               "slowest training epoch)")
+                               "renewal (the worker renews every "
+                               "third of it while a cell runs)")
     p_worker.add_argument("--poll-interval", type=float, default=0.5,
                           dest="poll_interval",
                           help="seconds between queue scans when idle")

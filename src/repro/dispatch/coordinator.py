@@ -173,15 +173,16 @@ def launch_worker(sweep_dir: str, worker_id: Optional[str] = None,
                   lease_ttl: float = DEFAULT_LEASE_TTL,
                   drain_when_empty: bool = True,
                   poll_interval: float = 0.25,
-                  extra_env: Optional[Dict[str, str]] = None
-                  ) -> subprocess.Popen:
+                  extra_env: Optional[Dict[str, str]] = None,
+                  stdout=None) -> subprocess.Popen:
     """Start one ``repro worker`` subprocess against ``sweep_dir``.
 
     The child runs ``python -m repro worker ...`` with ``PYTHONPATH``
     extended so the running ``repro`` package resolves regardless of
     how the parent was launched.  ``extra_env`` merges into the child's
     environment — the chaos tests use it to arm
-    ``REPRO_FAULT_KILL_AFTER_EPOCH``.
+    ``REPRO_FAULT_KILL_AFTER_EPOCH``.  ``stdout`` is handed to
+    :class:`subprocess.Popen` (``None`` inherits the caller's).
     """
     import repro
     package_root = os.path.dirname(os.path.dirname(
@@ -198,4 +199,4 @@ def launch_worker(sweep_dir: str, worker_id: Optional[str] = None,
         cmd += ["--worker-id", worker_id]
     if drain_when_empty:
         cmd += ["--drain-when-empty"]
-    return subprocess.Popen(cmd, env=env)
+    return subprocess.Popen(cmd, env=env, stdout=stdout)

@@ -184,10 +184,14 @@ def _register_builtin_kinds() -> None:
         return
 
     @registry.register("experiment")
-    def _experiment_task(payload: Dict, run_dir: Optional[str]) -> Dict:
-        """The sweep engine's unit of work: run one ExperimentSpec dict."""
+    def _experiment_task(payload: Dict, run_dir: Optional[str],
+                         verbose: Optional[bool] = None,
+                         dataset_cache: Optional[Dict] = None) -> Dict:
+        """The sweep engine's unit of work: run one ExperimentSpec dict
+        (a worker passes its verbosity override and dataset cache)."""
         from ..api.experiment import run_cell
-        return run_cell(dict(payload), run_dir=run_dir)
+        return run_cell(dict(payload), run_dir=run_dir, verbose=verbose,
+                        dataset_cache=dataset_cache)
 
     @registry.register("snapshot")
     def _snapshot_task(payload: Dict, run_dir: Optional[str]) -> Dict:

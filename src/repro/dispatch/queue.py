@@ -41,9 +41,8 @@ in ``dead/``.
 Leases and clocks
 -----------------
 A claimed task carries a lease: worker id, host, pid, TTL and a
-deadline.  The worker renews it from the per-epoch run-directory
-heartbeat (:func:`repro.api.rundir.add_heartbeat_listener`), so
-proving liveness to the run dir and to the broker are one event.
+deadline.  The worker renews it from a keepalive thread while the task
+runs (:class:`repro.dispatch.DispatchWorker`).
 Staleness is judged on **two clocks** and a lease only expires when
 both agree: the wall-clock deadline stamped by the owning worker *and*
 the lease file's mtime age measured against :meth:`QueueBroker.broker_now`
@@ -88,9 +87,9 @@ DRAIN_SENTINEL = "DRAIN"
 #: mtime probe file backing :meth:`QueueBroker.broker_now`
 CLOCK_PROBE = ".clock"
 
-#: default lease time-to-live (seconds); a worker renews once per epoch
-#: via the heartbeat hook, so the TTL only needs to exceed the slowest
-#: epoch (plus filesystem attribute-cache lag), not the whole cell
+#: default lease time-to-live (seconds); a worker renews every third of
+#: it while a task runs, so the TTL only needs to exceed a stall of the
+#: worker process (plus filesystem attribute-cache lag), not the cell
 DEFAULT_LEASE_TTL = 60.0
 
 #: default attempt budget before a cell is dead-lettered
@@ -319,7 +318,7 @@ class QueueBroker:
         return None
 
     def renew(self, name: str, worker_id: str) -> bool:
-        """Extend ``name``'s lease (heartbeat-driven); returns success.
+        """Extend ``name``'s lease (the worker's keepalive); returns success.
 
         Renewing rewrites the lease file, which both pushes the
         wall-clock deadline out by the lease TTL and refreshes the
@@ -554,7 +553,7 @@ class QueueBroker:
                     name,
                     f"lease expired: worker {lease.get('worker')!r} "
                     f"(host {lease.get('host')!r}, pid {lease.get('pid')})"
-                    " stopped heartbeating")
+                    " stopped renewing")
             except KeyError:
                 continue        # a concurrent reaper won the detach race
             counter("dispatch.lease_expirations",

@@ -9,13 +9,12 @@ scheduling intelligence (dependency gating, retries, lease reaping,
 dead-lettering) lives in the broker, so adding workers never adds
 coordination state.
 
-Liveness is a single signal: the per-epoch run-directory heartbeat
-(:func:`repro.api.rundir.write_heartbeat`) drives a listener that renews
-the worker's queue lease — a worker that stops making training progress
+Liveness is the worker process: while a task executes, a keepalive
+thread renews its queue lease every third of the TTL, so dataset loads,
+model builds, long epochs and post-fit probes never outlive the lease,
+however rarely the cell heartbeats.  A worker that dies (or is frozen)
 stops renewing, its lease goes stale on both the wall and broker
-clocks, and the reaper hands the cell to someone else.  Between epochs
-(and for non-experiment kinds) the worker also renews on its own poll
-ticks.
+clocks, and the reaper hands the cell to someone else.
 
 Crash-safety of the work itself is idempotence: before running an
 experiment cell the worker checks whether the run directory already
@@ -31,13 +30,13 @@ from __future__ import annotations
 import os
 import shutil
 import socket
+import threading
 import time
 import traceback as _traceback
 from typing import Dict, Optional
 
-from ..api.experiment import RunResult, run_cell
-from ..api.rundir import (add_heartbeat_listener, remove_heartbeat_listener,
-                          run_dir_is_complete)
+from ..api.experiment import RunResult
+from ..api.rundir import run_dir_is_complete
 from ..obs import counter, set_process_label, span
 from .dag import resolve_artifacts, task_kinds
 from .queue import DEFAULT_LEASE_TTL, QueueBroker
@@ -61,8 +60,8 @@ class DispatchWorker:
     worker_id:
         Identity stamped into leases; defaults to ``<host>:<pid>``.
     lease_ttl:
-        Seconds a lease stays valid without renewal.  Must exceed the
-        slowest epoch of the cells being run (renewal is per-epoch).
+        Seconds a lease stays valid without renewal; the worker renews
+        it every ``lease_ttl / 3`` seconds while a task runs.
     drain_when_empty:
         When true, the worker exits once the queue settles (nothing
         pending or leased) instead of polling forever — the mode batch
@@ -82,6 +81,8 @@ class DispatchWorker:
         self.sweep_dir = sweep_dir
         self.worker_id = worker_id or default_worker_id()
         self.lease_ttl = float(lease_ttl)
+        if self.lease_ttl <= 0:
+            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.drain_when_empty = bool(drain_when_empty)
         self.poll_interval = float(poll_interval)
         self.max_tasks = max_tasks
@@ -90,24 +91,8 @@ class DispatchWorker:
         #: experiment cells: each ``(dataset, seed, options)`` loads once
         #: per worker, not once per cell
         self._dataset_cache: Dict = {}
-        self._current: Optional[str] = None     # cell being executed
 
     # ------------------------------------------------------------------ #
-
-    def _on_heartbeat(self, run_dir: str, epoch: Optional[int]) -> None:
-        """Heartbeat listener: renew the lease of the cell being run.
-
-        Filtered to the current task's run directory so heartbeats from
-        unrelated in-process runs (tests, nested tooling) don't renew
-        leases they don't own.
-        """
-        name = self._current
-        if name is None:
-            return
-        if os.path.abspath(run_dir) != os.path.abspath(
-                os.path.join(self.sweep_dir, name)):
-            return
-        self.broker.renew(name, self.worker_id)
 
     def run_dir_for(self, name: str) -> str:
         """The run directory a dispatched cell writes: ``<sweep>/<name>``."""
@@ -122,25 +107,20 @@ class DispatchWorker:
         is set and the queue settles, or when ``max_tasks`` is reached.
         """
         set_process_label(f"dispatch-worker {self.worker_id}")
-        listener = add_heartbeat_listener(self._on_heartbeat)
-        try:
-            while True:
-                if self.broker.drain_requested():
+        while True:
+            if self.broker.drain_requested():
+                return self.tasks_run
+            if self.max_tasks is not None \
+                    and self.tasks_run >= self.max_tasks:
+                return self.tasks_run
+            task = self.broker.claim(self.worker_id, ttl=self.lease_ttl)
+            if task is None:
+                if self.drain_when_empty and self.broker.settled():
                     return self.tasks_run
-                if self.max_tasks is not None \
-                        and self.tasks_run >= self.max_tasks:
-                    return self.tasks_run
-                task = self.broker.claim(self.worker_id,
-                                         ttl=self.lease_ttl)
-                if task is None:
-                    if self.drain_when_empty and self.broker.settled():
-                        return self.tasks_run
-                    time.sleep(self.poll_interval)
-                    continue
-                self.execute(task)
-                self.tasks_run += 1
-        finally:
-            remove_heartbeat_listener(listener)
+                time.sleep(self.poll_interval)
+                continue
+            self.execute(task)
+            self.tasks_run += 1
 
     def execute(self, task: Dict) -> None:
         """Run one claimed task and ack its outcome to the broker.
@@ -153,11 +133,20 @@ class DispatchWorker:
         the whole point of dispatching.
         """
         name = task["name"]
-        self._current = name
+        stop = threading.Event()
+        keepalive = threading.Thread(target=self._keep_lease,
+                                     args=(name, stop), daemon=True)
+        keepalive.start()
         try:
-            with span("dispatch.task", cell=name, kind=task["kind"],
-                      worker=self.worker_id):
-                summary = self._execute_inner(task)
+            try:
+                with span("dispatch.task", cell=name, kind=task["kind"],
+                          worker=self.worker_id):
+                    summary = self._execute_inner(task)
+            finally:
+                # stopped before any ack, so no renewal can rewrite the
+                # lease file after the ack has moved the task on
+                stop.set()
+                keepalive.join()
         except Exception as exc:        # noqa: BLE001 — worker isolation
             counter("dispatch.task_errors",
                     help="task executions that raised in the worker").inc()
@@ -165,8 +154,6 @@ class DispatchWorker:
                       error=f"{type(exc).__name__}: {exc}",
                       traceback_text=_traceback.format_exc())
             return
-        finally:
-            self._current = None
         if summary.get("status") == "failed":
             self._ack(name, failed=True,
                       error=summary.get("error") or "failed",
@@ -175,13 +162,21 @@ class DispatchWorker:
         else:
             self._ack(name, summary=summary)
 
+    def _keep_lease(self, name: str, stop: threading.Event) -> None:
+        """Renew ``name``'s lease every ``lease_ttl / 3`` until ``stop``."""
+        while not stop.wait(self.lease_ttl / 3):
+            try:
+                self.broker.renew(name, self.worker_id)
+            except OSError:             # a transient filesystem error:
+                pass                    # the next tick retries
+
     def _ack(self, name: str, summary: Optional[Dict] = None,
              failed: bool = False, error: Optional[str] = None,
              traceback_text: Optional[str] = None) -> None:
         """Ack an outcome, tolerating a lease lost to the reaper.
 
-        If a cell outlived its lease (no heartbeat renewals — e.g. a
-        long non-experiment task), the reaper may have re-routed it
+        If the worker stalled past its lease (no renewal reached the
+        queue within the TTL), the reaper may have re-routed the cell
         before this ack lands; the work is then re-run elsewhere, which
         is safe because execution is idempotent (completed run dirs are
         adopted, not re-trained).
@@ -203,12 +198,12 @@ class DispatchWorker:
         payload = resolve_artifacts(self.broker, task["payload"])
         run_dir = self.run_dir_for(task["name"])
         if task["kind"] == "experiment":
-            return self._run_experiment(payload, run_dir,
+            return self._run_experiment(executor, payload, run_dir,
                                         verbose=task.get("verbose"))
         os.makedirs(run_dir, exist_ok=True)
         return executor(payload, run_dir)
 
-    def _run_experiment(self, spec_dict: Dict, run_dir: str,
+    def _run_experiment(self, executor, spec_dict: Dict, run_dir: str,
                         verbose: Optional[bool] = None) -> Dict:
         """Run (or adopt) one experiment cell in its run directory.
 
@@ -228,5 +223,5 @@ class DispatchWorker:
                 return RunResult.load(run_dir).summary()
             shutil.rmtree(run_dir)
         os.makedirs(run_dir)
-        return run_cell(spec_dict, run_dir, verbose=verbose,
+        return executor(spec_dict, run_dir, verbose=verbose,
                         dataset_cache=self._dataset_cache)

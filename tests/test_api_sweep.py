@@ -13,6 +13,8 @@ Acceptance contract of the sweep PR:
   claimants of one name always get distinct directories.
 """
 
+import functools
+import io
 import json
 import os
 import shutil
@@ -139,8 +141,11 @@ def _fake_workers(monkeypatch):
     launched = []
 
     class FakeWorker:
+        pid = 0
+
         def __init__(self, cmd, env=None, **kwargs):
             launched.append(env)
+            self.stdout = io.BytesIO()
 
         def wait(self, timeout=None):
             return 0
@@ -227,6 +232,95 @@ class TestLocalWorkers:
                 assert env[var] == "1"
         for var in BLAS_ENV_VARS:
             assert var not in os.environ
+
+    def test_lease_outlives_cells_without_heartbeats(self, tmp_path,
+                                                     monkeypatch):
+        """A cell that trains for longer than the lease TTL without a
+        heartbeat keeps its lease while the other worker idles and
+        reaps, so both cells complete."""
+        import repro.dispatch as dispatch
+        monkeypatch.setattr(dispatch, "launch_worker", functools.partial(
+            dispatch.launch_worker, lease_ttl=0.5))
+        slow = _fast_spec(
+            model="lightgcn", dataset="gowalla",
+            model_config={"embedding_dim": 32},
+            train_config={"epochs": 20, "batch_size": 256,
+                          "eval_every": 20, "heartbeat_seconds": 3600})
+        results = run_sweep([slow, _fast_spec()],
+                            base_dir=str(tmp_path / "sweep"), workers=2)
+        assert [r.status for r in results] == ["completed"] * 2, \
+            [r.error for r in results]
+
+    def test_script_registered_components_run_in_process(self, tmp_path):
+        """A dataset registered in the calling script is unknown to the
+        workers: its cell runs in the caller, the others on the queue.
+        Worker progress lines reach the caller's stdout, the workers'
+        closing summary lines do not."""
+        base_dir = str(tmp_path / "sweep")
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent(f"""\
+            from repro.api import ExperimentSpec, expand_grid, run_sweep
+            from repro.data import DATASET_REGISTRY, tiny_dataset
+
+            @DATASET_REGISTRY.register("script-tiny")
+            def _load(seed=0, **options):
+                return tiny_dataset(seed=seed, **options)
+
+            if __name__ == "__main__":
+                base = ExperimentSpec(model="biasmf", dataset="tiny",
+                                      model_config={{"embedding_dim": 8}},
+                                      train_config={FAST_TRAIN!r})
+                specs = expand_grid(base, datasets=["tiny", "script-tiny"])
+                results = run_sweep(specs, base_dir={base_dir!r},
+                                    workers=2, verbose=True)
+                print(",".join(r.status for r in results))
+                print(",".join(str(r.fit is not None) for r in results))
+            """))
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=_repro_pythonpath()),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2] == "completed,completed"
+        # the script-registered cell ran in the caller (live fit history)
+        assert lines[-1] == "False,True"
+        # both cells' epoch lines: one relayed from a worker, one local
+        epochs = [line for line in lines if line.startswith("epoch")]
+        assert len(epochs) == 2 * FAST_TRAIN["epochs"], proc.stdout
+        assert "task(s) executed" not in proc.stdout
+
+    def test_queue_directory_name_is_reserved(self, tmp_path):
+        """A spec named like the queue directory gets a suffixed run dir,
+        so the queue and the cell never share a directory."""
+        base_dir = str(tmp_path / "sweep")
+        (result,) = run_sweep([_fast_spec(name="queue")],
+                              base_dir=base_dir, workers=2)
+        assert result.status == "completed"
+        assert os.path.basename(result.run_dir) == "queue-2"
+        assert sorted(os.listdir(base_dir)) == [
+            "leaderboard.md", "queue-2", "results.csv", "sweep.json",
+            "sweep.json.lock"]
+
+    def test_resumed_cell_named_queue_runs_in_process(self, tmp_path):
+        """A manifest written before the name was reserved may hold a
+        cell called ``queue``; resuming it with workers runs in-process,
+        so no queue is ever laid out inside that cell's run dir."""
+        base_dir = str(tmp_path / "sweep")
+        specs = [_fast_spec(name="queue"), _fast_spec(seed=1)]
+        run_sweep(specs, base_dir=base_dir)
+        manifest_path = os.path.join(base_dir, "sweep.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["cells"][0]["name"] = "queue"
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        shutil.rmtree(os.path.join(base_dir, "queue-2"))
+        results = SweepRunner.resume(base_dir, workers=2)
+        assert [r.status for r in results] == ["completed"] * 2
+        assert results[0].fit is not None          # ran in the caller
+        assert run_dir_is_complete(os.path.join(base_dir, "queue"),
+                                   specs[0])
 
 
 # --------------------------------------------------------------------- #

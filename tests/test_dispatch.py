@@ -25,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,9 +33,7 @@ import pytest
 
 from repro.api import (Experiment, ExperimentSpec, expand_grid,
                        read_sweep_manifest, run_dir_fingerprint, run_sweep)
-from repro.api.rundir import (add_heartbeat_listener, heartbeat_cadence,
-                              read_status, remove_heartbeat_listener,
-                              write_heartbeat)
+from repro.api.rundir import heartbeat_cadence, read_status, write_heartbeat
 from repro.cli import main as cli_main
 from repro.dispatch import (DEAD, DONE, LEASED, PENDING, DispatchWorker,
                             QueueBroker, collect_results, dispatch_report,
@@ -410,20 +409,47 @@ class TestDispatchedSweep:
         assert DispatchWorker(disp_dir, max_tasks=2).run() == 2
         assert loads == ["tiny"]
 
-    def test_worker_renews_lease_from_heartbeats(self, tmp_path):
+    def test_worker_renews_lease_while_a_task_runs(self, tmp_path):
+        """A cell that runs for several lease TTLs without a heartbeat
+        keeps its lease against a concurrent reaper: the worker's
+        keepalive renews it, and nothing renews after the ack."""
         disp_dir = str(tmp_path / "disp")
-        (name,) = enqueue_sweep([_fast_spec()], disp_dir)
-        broker = QueueBroker(disp_dir)
+        slow = _fast_spec(
+            model="lightgcn", dataset="gowalla",
+            model_config={"embedding_dim": 32},
+            train_config={"epochs": 10, "batch_size": 256,
+                          "eval_every": 10, "heartbeat_seconds": 3600})
+        (name,) = enqueue_sweep([slow], disp_dir, max_attempts=1)
+        worker = _drain_worker(disp_dir, lease_ttl=0.3)
         renewals = []
-        original = broker.__class__.renew
+        renew = worker.broker.renew
+        worker.broker.renew = lambda n, w: renewals.append(n) or renew(n, w)
+        stop = threading.Event()
 
-        worker = _drain_worker(disp_dir, lease_ttl=30.0)
-        worker.broker.renew = lambda n, w: renewals.append(n) or \
-            original(worker.broker, n, w)
-        worker.run()
-        # one renewal per heartbeat: the fit-start epoch-0 stamp plus
-        # one per training epoch
-        assert renewals == [name] * (FAST_TRAIN["epochs"] + 1)
+        def reap():
+            reaper = QueueBroker(disp_dir)
+            while not stop.wait(0.05):
+                reaper.reap_expired()
+
+        reaper = threading.Thread(target=reap)
+        reaper.start()
+        try:
+            assert worker.run() == 1
+        finally:
+            stop.set()
+            reaper.join()
+        broker = QueueBroker(disp_dir)
+        assert broker.names(DONE) == [name]
+        assert broker.read_task(DONE, name)["result"]["status"] == \
+            "completed"
+        assert len(renewals) >= 2 and set(renewals) == {name}
+        count = len(renewals)
+        time.sleep(0.3)
+        assert len(renewals) == count       # the keepalive has stopped
+
+    def test_worker_rejects_a_non_positive_lease_ttl(self, tmp_path):
+        with pytest.raises(ValueError, match="lease_ttl"):
+            DispatchWorker(str(tmp_path), lease_ttl=0)
 
 
 # --------------------------------------------------------------------- #
@@ -451,18 +477,6 @@ class TestHeartbeatSatellites:
         assert status["epoch"] == 3
         assert status["last_heartbeat"] > 0
         assert status["heartbeat_monotonic"] > 0
-
-    def test_listener_hook_fires_and_detaches(self, tmp_path):
-        seen = []
-        listener = add_heartbeat_listener(
-            lambda run_dir, epoch: seen.append((run_dir, epoch)))
-        try:
-            write_heartbeat(str(tmp_path), epoch=1)
-        finally:
-            remove_heartbeat_listener(listener)
-        write_heartbeat(str(tmp_path), epoch=2)
-        assert seen == [(str(tmp_path), 1)]
-        remove_heartbeat_listener(listener)        # double-remove is fine
 
     def test_large_cadence_suppresses_epoch_heartbeats(self, tmp_path):
         throttled = _fast_spec(train_config={**FAST_TRAIN,

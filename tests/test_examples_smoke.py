@@ -69,10 +69,11 @@ def test_popularity_bias(capsys):
     assert "gini" in out
 
 
-def test_sweep(capsys):
+def test_sweep(capsys, tmp_path):
     _load_example("sweep").main(dataset="tiny", epochs=2,
                                 models=("biasmf", "lightgcn"),
-                                seeds=(0,), workers=2)
+                                seeds=(0,), workers=2,
+                                base_dir=str(tmp_path / "sweep"))
     out = capsys.readouterr().out
     assert "2/2 cells completed" in out
     assert "leaderboard ->" in out
