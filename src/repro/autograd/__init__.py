@@ -16,7 +16,7 @@ Public surface:
   value per pair (GraphAug's augmented views).
 * :mod:`repro.autograd.fused` — opt-in fused hot-path kernels
   (:func:`fused_bpr_loss`, :func:`fused_bpr_scores`, :func:`light_propagate`,
-  :func:`mixhop_encode`).
+  :func:`mixhop_encode`, :func:`edge_scorer`).
 * :func:`gradcheck` — finite-difference certification used by the tests.
 """
 
@@ -38,8 +38,8 @@ from .sparse import (spmm, weighted_spmm, coo_from_scipy,
                      SymmetricPattern, clear_sparse_caches,
                      enable_spmm_profiling,
                      reset_spmm_profile, spmm_profile, SPMM_PRIMITIVES)
-from .fused import (fused_bpr_loss, fused_bpr_scores, light_propagate,
-                    mixhop_encode)
+from .fused import (edge_scorer, fused_bpr_loss, fused_bpr_scores,
+                    light_propagate, mixhop_encode)
 from .gradcheck import gradcheck, numerical_gradient
 from . import functional
 from . import init
@@ -61,7 +61,7 @@ __all__ = [
     "clear_sparse_caches", "enable_spmm_profiling", "reset_spmm_profile",
     "spmm_profile", "SPMM_PRIMITIVES",
     "fused_bpr_loss", "fused_bpr_scores", "light_propagate",
-    "mixhop_encode", "scatter_rows",
+    "mixhop_encode", "edge_scorer", "scatter_rows",
     "gradcheck", "numerical_gradient",
     "functional", "init",
 ]

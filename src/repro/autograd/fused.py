@@ -8,17 +8,19 @@ tensors — registered via the same :func:`~repro.autograd.primitives
 other op, which is exactly the extension point the registry refactor
 exists to provide.
 
-All four kernels are **opt-in**: the default tape keeps the composed
+All five kernels are **opt-in**: the default tape keeps the composed
 (bit-reproducible) graph, and high-level consumers
 (``Recommender.bpr_loss``, ``light_gcn_propagate``,
-``functional.bpr_loss``, the light-mode ``MixhopEncoder``) switch to
-the fused node only when the ``fused`` backend is selected for it — via
+``functional.bpr_loss``, the light-mode ``MixhopEncoder``, the
+augmentor's ``LearnableAugmentor.score``) switch to the fused node only
+when the ``fused`` backend is selected for it — via
 ``TrainConfig.autograd_backend``, :class:`~repro.autograd.primitives
 .use_backend` or the ``REPRO_AUTOGRAD_BACKEND`` env knob.  Forward
 values match the composed path bit-for-bit (:func:`light_propagate`,
 :func:`mixhop_encode`) or to float tolerance (the BPR kernels reorder
-the dot-product reduction); gradients differ only by accumulation
-order, which is why selecting them is spec-visible rather than silent.
+the dot-product reduction, :func:`edge_scorer` splits the first
+layer's); gradients differ only by accumulation order, which is why
+selecting them is spec-visible rather than silent.
 
 Why fusing helps without leaving numpy: the composed BPR graph runs
 ~14 elementwise tape nodes over batch-sized temporaries (two mul+sum
@@ -31,7 +33,14 @@ unavoidable csr matvecs (forward) and transposed csr matvecs (VJP).
 ``mixhop_encode`` does the same for a whole GraphAug encode, gates and
 learnable view weights included: ~50 composed tape nodes per encode
 become one, and a view's CSR is gathered once per encode from the fixed
-pattern's layout instead of once per hop.
+pattern's layout instead of once per hop.  Its VJP takes each hop's
+edge-weight gradient per pair, ``<g[h], x[t]> + <g[t], x[h]>`` over the
+pattern's heads and tails, with no per-entry copy of the cotangent.
+``edge_scorer`` is the augmentor's two-layer MLP over
+``[h_u ‖ h_v ‖ h_u⊙h_v]`` with its first layer factorized: the
+end-point blocks become per-node projections gathered per edge, so no
+``E x 3d`` feature matrix is built and only a third of the first
+layer's ``E``-row GEMMs remain, forward and backward.
 """
 
 from __future__ import annotations
@@ -39,10 +48,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .primitives import defvjp, primitive
 from .sparse import _cached_csr_pair
-from .tensor import Tensor, _logsumexp_fwd, as_tensor
+from .tensor import Tensor, _logsumexp_fwd, as_tensor, scatter_rows
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -207,9 +217,14 @@ def _vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
     csr_t, layers = res
     weights = operands[1]
     g_mean = g * np.asarray(1.0 / (len(layers) + 1), dtype=g.dtype)
-    slot_grads = None
     if weights is not None:
-        slot_grads = np.zeros(adjacency.indices.shape[0], dtype=weights.dtype)
+        # d weight[p] = sum over hops of <grad[h], state[t]> (forward
+        # entry) + <grad[t], state[h]> (mirror entry); the two entries
+        # keep separate accumulators, each summed over hops in order
+        heads = adjacency.rows[:adjacency.num_pairs]
+        tails = adjacency.cols[:adjacency.num_pairs]
+        fwd_grads = np.zeros(adjacency.num_pairs, dtype=weights.dtype)
+        mirror_grads = np.zeros_like(fwd_grads)
     gate_grads = []
     carry = g_mean  # cotangent of the current layer's output
     for states, mix in reversed(layers):
@@ -224,18 +239,14 @@ def _vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
                     grad = term if grad is None else grad + term
             if k == 0:
                 break
-            if slot_grads is not None:
-                # d value[slot] = <grad[row], state[col]>, one pass per hop
-                # in the row-run form of _vjp_weighted_values
-                slot_grads += np.einsum(
-                    "ed,ed->e", np.repeat(grad, adjacency.counts, axis=0),
-                    states[k - 1][adjacency.indices])
+            if weights is not None:
+                state = states[k - 1]
+                fwd_grads += np.einsum("pd,pd->p", grad[heads], state[tails])
+                mirror_grads += np.einsum("pd,pd->p", grad[tails],
+                                          state[heads])
             grad = csr_t @ grad
         carry = grad + g_mean  # each layer input is also a pooled output
-    weight_grad = None
-    if slot_grads is not None:
-        weight_grad = (slot_grads[adjacency.pair_slots[0]]
-                       + slot_grads[adjacency.pair_slots[1]])
+    weight_grad = None if weights is None else fwd_grads + mirror_grads
     return [carry, weight_grad, *reversed(gate_grads)]
 
 
@@ -275,3 +286,87 @@ def mixhop_encode(adjacency, ego: Tensor, gates, hops,
                 None if edge_weights is None else as_tensor(edge_weights),
                 *(as_tensor(gate) for gate in gates)]
     return _mixhop_encode(adjacency, operands, hops=hops)
+
+
+# --------------------------------------------------------------------- #
+# fused factorized edge scorer
+# --------------------------------------------------------------------- #
+
+def _end_selection(heads, tails, num_nodes, dtype):
+    """The ``(E, 2N)`` 0/1 matrix picking ``heads[e]`` and ``N + tails[e]``.
+
+    Times the stacked per-node tables ``[T_head; T_tail]`` it is a
+    gather-and-add in one csr pass; its transpose is the matching
+    scatter.
+    """
+    picks = np.stack([heads, tails + num_nodes], axis=1).ravel()
+    return sp.csr_matrix((np.ones(picks.shape[0], dtype=dtype), picks,
+                          np.arange(0, picks.shape[0] + 1, 2)),
+                         shape=(heads.shape[0], 2 * num_nodes))
+
+
+def _edge_scorer_fwd(operands, heads, tails):
+    nodes, w1, b1, w2, b2 = operands
+    dim = nodes.shape[1]
+    head = nodes[heads]
+    tail = nodes[tails]
+    prod = head * tail
+    ends = _end_selection(heads, tails, nodes.shape[0], nodes.dtype)
+    # [h_u ‖ h_v ‖ h_u⊙h_v] W1 + b1
+    #   = (H W_a + b1)[u] + (H W_b)[v] + (h_u⊙h_v) W_c
+    hidden = ends @ np.concatenate([nodes @ w1[:dim] + b1,
+                                    nodes @ w1[dim:2 * dim]])
+    hidden += prod @ w1[2 * dim:]
+    np.maximum(hidden, 0, out=hidden)
+    return hidden @ w2[:, 0] + b2, (head, tail, prod, hidden, ends)
+
+
+def _vjp_edge_scorer(g, ans, res, operands, heads, tails):
+    nodes, w1, b1, w2, b2 = operands
+    head, tail, prod, hidden, ends = res
+    num_nodes, dim = nodes.shape
+    d_hidden = np.outer(g, w2[:, 0])
+    d_hidden *= hidden > 0
+    # per-node sums of d_hidden over each node's head / tail edges
+    by_head, by_tail = np.split(ends.T @ d_hidden, 2)
+    d_prod = d_hidden @ w1[2 * dim:].T
+    d_nodes = by_head @ w1[:dim].T + by_tail @ w1[dim:2 * dim].T
+    d_nodes += scatter_rows(d_prod * tail, heads, num_nodes)
+    d_nodes += scatter_rows(d_prod * head, tails, num_nodes)
+    d_w1 = np.concatenate([nodes.T @ by_head, nodes.T @ by_tail,
+                           prod.T @ d_hidden])
+    # every edge has one head, so by_head's rows sum to d_hidden's
+    return [d_nodes, d_w1, by_head.sum(axis=0), (hidden.T @ g)[:, None],
+            g.sum(keepdims=True)]
+
+
+_edge_scorer = primitive("edge_scorer", residuals=True)(_edge_scorer_fwd)
+defvjp("edge_scorer", _vjp_edge_scorer)
+
+
+def edge_scorer(nodes: Tensor, heads: np.ndarray, tails: np.ndarray,
+                w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu([h_u ‖ h_v ‖ h_u⊙h_v] W1 + b1) W2 + b2`` per edge, one node.
+
+    Scores edge ``e = (heads[e], tails[e])`` from the rows of ``nodes``
+    (``(N, d)``) through a two-layer MLP with ``W1`` of shape
+    ``(3d, h)`` and ``W2`` of shape ``(h, 1)``, returning ``(E,)``
+    logits.  The first layer is factorized: its head and tail blocks
+    are ``N``-row projections gathered per edge, so only the product
+    block is an ``E``-row GEMM and no ``E x 3d`` feature matrix exists,
+    forward or backward.  Equal to the composed ``MLP`` over the
+    concatenated features within float tolerance (the first layer's
+    reduction is split in three).
+
+    >>> import numpy as np
+    >>> from repro.autograd import Tensor, edge_scorer
+    >>> nodes = Tensor(np.ones((3, 1)))
+    >>> w1 = Tensor(np.array([[1.0], [2.0], [3.0]]))   # d = 1, h = 1
+    >>> edge_scorer(nodes, np.array([0]), np.array([2]), w1,
+    ...             Tensor(np.zeros(1)), Tensor(np.ones((1, 1))),
+    ...             Tensor(np.zeros(1))).data   # relu(1 + 2 + 3)
+    array([6.])
+    """
+    operands = [as_tensor(t) for t in (nodes, w1, b1, w2, b2)]
+    return _edge_scorer(operands, heads=np.asarray(heads, dtype=np.int64),
+                        tails=np.asarray(tails, dtype=np.int64))

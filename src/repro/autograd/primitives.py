@@ -67,9 +67,10 @@ Profiling
 every primitive application — forward and each VJP call — aggregated per
 primitive name under a lock (safe under the sharded serving executor,
 unlike the module-level spmm counters this replaces).
-:func:`primitive_profile` returns ``{name: {"seconds", "calls"}}``; the
-legacy ``spmm_profile`` view in :mod:`repro.autograd.sparse` derives from
-it.
+:func:`primitive_profile` returns ``{name: {"seconds", "calls",
+"vjp_seconds", "vjp_calls"}}``: the first two count forward and VJP
+together, the last two the VJP share alone.  The legacy ``spmm_profile``
+view in :mod:`repro.autograd.sparse` derives from it.
 """
 
 from __future__ import annotations
@@ -149,26 +150,33 @@ def reset_primitive_profile(names: Optional[Sequence[str]] = None) -> None:
 
 
 def primitive_profile() -> Dict[str, Dict[str, float]]:
-    """Snapshot of the per-primitive counters: ``{name: {seconds, calls}}``.
+    """Snapshot of the per-primitive counters.
 
-    Only primitives that have run since the last reset (with profiling
+    ``{name: {seconds, calls, vjp_seconds, vjp_calls}}``.  Only
+    primitives that have run since the last reset (with profiling
     enabled) appear.  Forward applications and VJP invocations both
-    accumulate into the same entry, so a profiled op's ``seconds`` is its
-    total fwd+bwd wall-clock and ``calls`` counts both directions.
+    accumulate into ``seconds``/``calls``, so a profiled op's
+    ``seconds`` is its total fwd+bwd wall-clock and ``calls`` counts
+    both directions; ``vjp_seconds``/``vjp_calls`` are the VJP share
+    (a list-valued VJP counts once per tape node).
     """
     with _profile_lock:
         return {name: dict(entry)
                 for name, entry in _profile_counters.items()}
 
 
-def _profile_add(name: str, seconds: float) -> None:
+def _profile_add(name: str, seconds: float, vjp: bool) -> None:
     with _profile_lock:
         entry = _profile_counters.get(name)
         if entry is None:
-            _profile_counters[name] = {"seconds": seconds, "calls": 1}
-        else:
-            entry["seconds"] += seconds
-            entry["calls"] += 1
+            entry = _profile_counters[name] = {
+                "seconds": 0.0, "calls": 0, "vjp_seconds": 0.0,
+                "vjp_calls": 0}
+        entry["seconds"] += seconds
+        entry["calls"] += 1
+        if vjp:
+            entry["vjp_seconds"] += seconds
+            entry["vjp_calls"] += 1
 
 
 # --------------------------------------------------------------------- #
@@ -461,7 +469,7 @@ def _apply(prim: Primitive, args: tuple, kwargs: dict):
     if _profile_enabled:
         start = time.perf_counter()
         out = impl(*vals, **kwargs)
-        _profile_add(prim.name, time.perf_counter() - start)
+        _profile_add(prim.name, time.perf_counter() - start, vjp=False)
     else:
         out = impl(*vals, **kwargs)
     res = None
@@ -504,7 +512,8 @@ def backpropagate(tensor) -> None:
             if _profile_enabled:
                 start = time.perf_counter()
                 out = vjp(*head, *node.vals, **node.kwargs)
-                _profile_add(prim.name, time.perf_counter() - start)
+                _profile_add(prim.name, time.perf_counter() - start,
+                             vjp=True)
             else:
                 out = vjp(*head, *node.vals, **node.kwargs)
             if sub is None:

@@ -331,14 +331,10 @@ class SymmetricPattern:
         self.cols = np.concatenate([tails, heads])
         order = np.argsort(self.rows * self.shape[1] + self.cols)
         self.indices = self.cols[order]
-        self.counts = np.bincount(self.rows, minlength=self.shape[0])
-        self.indptr = np.concatenate([[0], np.cumsum(self.counts)])
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.rows, minlength=self.shape[0]))])
         #: CSR slot -> pair that owns it
         self.slot_pairs = order % self.num_pairs
-        #: ``(2, num_pairs)``: CSR slot of each pair's forward/mirror entry
-        slots = np.empty_like(order)
-        slots[order] = np.arange(order.shape[0])
-        self.pair_slots = slots.reshape(2, self.num_pairs)
 
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
         """The matrix whose pair ``p`` entries both equal ``values[p]``."""

@@ -182,7 +182,8 @@ class Tensor:
         tensor when :meth:`backward` is called downstream.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_node", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_node", "_op",
+                 "_owns_grad")
     __array_priority__ = 100  # make numpy defer to our reflected operators
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
@@ -192,6 +193,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._owns_grad = False
         self._parents: Tuple["Tensor", ...] = ()
         self._node: Optional[_prims.Node] = None
         self._op = "leaf"
@@ -243,12 +245,36 @@ class Tensor:
     # reverse mode
     # ------------------------------------------------------------------ #
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one cotangent into :attr:`grad`.
+
+        A buffer is updated in place only by the tensor that owns it.
+        A leaf copies its first gradient, so callers and optimizers may
+        edit it.  A tape node keeps its first cotangent by reference
+        when dtype and shape match: it may be a VJP's read-only view, or
+        the very array a VJP handed to a sibling (``add`` passes one
+        ``g`` to both operands), so a second contribution allocates a
+        new, owned sum.  :meth:`backward` clears tape-node grads before
+        each pass, so a buffer handed to a VJP is never updated after.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            if (self._node is not None and isinstance(grad, np.ndarray)
+                    and grad.dtype == self.data.dtype
+                    and grad.shape == self.data.shape):
+                self.grad = grad
+                self._owns_grad = False
+            else:
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+                self._owns_grad = True
         elif self.grad.shape == np.shape(grad):
-            self.grad += grad  # in-place: reuse the accumulation buffer
+            if self._owns_grad:
+                self.grad += grad  # in-place: reuse the accumulation buffer
+            else:  # the dtype and rounding of the in-place add
+                self.grad = (self.grad + grad).astype(self.grad.dtype,
+                                                      copy=False)
+                self._owns_grad = True
         else:
             self.grad = self.grad + grad
+            self._owns_grad = True
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -286,6 +312,9 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        for node in order:
+            if node._node is not None:  # a fresh pass: no stale cotangent
+                node.grad = None
         self._accumulate(grad)
         for node in reversed(order):
             if node._node is None or node.grad is None:
@@ -542,9 +571,8 @@ def _vjp_sum(g, ans, a, axis, keepdims):
     grad = g
     if axis is not None and not keepdims:
         grad = np.expand_dims(grad, axis)
-    # read-only broadcast view is fine: _accumulate never mutates its
-    # argument (it copies on first touch, then adds into the existing
-    # buffer)
+    # read-only broadcast view is fine: _accumulate never mutates a
+    # buffer it does not own
     return np.broadcast_to(grad, a.shape)
 
 

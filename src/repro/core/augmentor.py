@@ -4,7 +4,12 @@ Scores every *candidate* edge with an MLP over noise-perturbed, masked
 endpoint embeddings:
 
     h~_u = (h̄_u - ε_u) ⊙ m_u + ε_u,   ε ~ N(0, I),  m ~ Bernoulli(keep)
-    p((u,v) | H̄) = σ( MLP([h~_u ‖ h~_v]) )
+    p((u,v) | H̄) = σ( MLP([h~_u ‖ h~_v ‖ h~_u ⊙ h~_v]) )
+
+The product block makes the dot-product affinity linearly learnable by
+the MLP's first layer.  Under the ``fused`` backend the scorer runs as
+one :func:`~repro.autograd.edge_scorer` tape node, whose first layer
+projects the end-point blocks per node instead of per edge.
 
 The candidate set is the observed edges plus a budget of sampled
 *higher-order* user-item pairs (3-hop reachable pairs), realizing the
@@ -23,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import MLP, Module, SymmetricPattern, Tensor, cast_like, \
-    concat
+    concat, edge_scorer, fused_kernels_enabled
 from ..graph import InteractionGraph
 
 
@@ -124,17 +129,21 @@ class LearnableAugmentor(Module):
                          embeddings)
         return (embeddings - noise) * mask + noise
 
+    def score(self, node_embeddings: Tensor,
+              candidates: CandidateEdges) -> Tensor:
+        """Raw (pre-sigmoid) scores of ``node_embeddings`` as they are."""
+        if fused_kernels_enabled("edge_scorer"):
+            first, second = self.scorer.linear_0, self.scorer.linear_1
+            return edge_scorer(node_embeddings, candidates.user_nodes,
+                               candidates.item_nodes, first.weight,
+                               first.bias, second.weight, second.bias)
+        head = node_embeddings.take_rows(candidates.user_nodes)
+        tail = node_embeddings.take_rows(candidates.item_nodes)
+        features = concat([head, tail, head * tail], axis=1)
+        return self.scorer(features).reshape(-1)
+
     def edge_logits(self, node_embeddings: Tensor,
                     candidates: CandidateEdges,
                     rng: np.random.Generator) -> Tensor:
         """Raw (pre-sigmoid) keep scores for every candidate edge."""
-        perturbed = self.perturb(node_embeddings, rng)
-        head = perturbed.take_rows(candidates.user_nodes)
-        tail = perturbed.take_rows(candidates.item_nodes)
-        features = concat([head, tail, head * tail], axis=1)
-        return self.scorer(features).reshape(-1)
-
-    def edge_probabilities(self, node_embeddings: Tensor,
-                           candidates: CandidateEdges,
-                           rng: np.random.Generator) -> Tensor:
-        return self.edge_logits(node_embeddings, candidates, rng).sigmoid()
+        return self.score(self.perturb(node_embeddings, rng), candidates)

@@ -122,12 +122,14 @@ class GraphAug(GraphRecommender):
                      for _ in range(2))
 
     def edge_keep_probabilities(self) -> np.ndarray:
-        """Noise-free keep probabilities per candidate edge (Fig 6 probe)."""
+        """Noise-free keep probabilities per candidate edge (Fig 6 probe).
+
+        Scores the unperturbed encoding, so it draws nothing from
+        ``aug_rng`` and repeated calls agree.
+        """
         with no_grad():
-            embeddings = self._encode_original()
-            probs = self.augmentor.edge_probabilities(
-                embeddings, self.candidates, self.aug_rng)
-            return probs.data.copy()
+            return self.augmentor.score(self._encode_original(),
+                                        self.candidates).sigmoid().data
 
     # ------------------------------------------------------------------ #
     # objective (Eq 16)

@@ -34,6 +34,7 @@ REQUIRED_EXAMPLES = (
     ("repro.autograd.primitives", "use_backend"),
     ("repro.autograd.fused", "fused_bpr_loss"),
     ("repro.autograd.fused", "light_propagate"),
+    ("repro.autograd.fused", "edge_scorer"),
 )
 
 OPTION_FLAGS = doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE

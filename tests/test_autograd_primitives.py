@@ -15,7 +15,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autograd import (SymmetricPattern, Tensor, concat, defvjp,
-                            fused_bpr_loss, fused_bpr_scores, gradcheck,
+                            edge_scorer, fused_bpr_loss, fused_bpr_scores,
+                            gradcheck,
                             light_propagate, list_primitives, mixhop_encode,
                             primitive, spmm, stack, unregister_primitive,
                             weighted_spmm, where)
@@ -84,6 +85,27 @@ def _mixhop_cases():
                       {"zeros": dropped(_PATTERN.num_pairs)})] \
                 + gate_specs
         case_id = f"hops{''.join(map(str, hops))}-L{layers}-{graph}-{share}"
+        cases.append((case_id, fn, specs))
+    return cases
+
+
+#: (heads, tails) over 7 nodes: repeated ids and a repeated pair, with
+#: node 6 in no candidate; then a single candidate (E_c = 1)
+_SCORER_EDGES = {
+    "repeated-ids-isolated-node": (np.array([0, 0, 1, 2, 2, 1, 0]),
+                                   np.array([3, 4, 4, 5, 3, 5, 3])),
+    "single-edge": (np.array([1]), np.array([4])),
+}
+
+
+def _edge_scorer_cases():
+    """Nodes (7, 3) -> hidden 4 -> 1 for each candidate layout."""
+    cases = []
+    for case_id, (heads, tails) in _SCORER_EDGES.items():
+        def fn(nodes, w1, b1, w2, b2, _h=heads, _t=tails):
+            return _scalarize(edge_scorer(nodes, _h, _t, w1, b1, w2, b2))
+        specs = [((7, 3), 80, {}), ((9, 4), 81, {}), ((4,), 82, {}),
+                 ((4, 1), 83, {}), ((1,), 84, {})]
         cases.append((case_id, fn, specs))
     return cases
 
@@ -198,6 +220,7 @@ CASES = {
     "light_propagate": [("two-layer", lambda e: _scalarize(
         light_propagate(_ADJ, e, 2)), [((6, 3), 64, {})])],
     "mixhop_encode": _mixhop_cases(),
+    "edge_scorer": _edge_scorer_cases(),
 }
 
 SWEEP = [(name, case_id, fn, specs)

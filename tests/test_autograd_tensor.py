@@ -305,3 +305,62 @@ class TestGraphTopology:
         # the same intermediate feeds two consumers — grads must accumulate
         assert gradcheck(lambda a: (a.sigmoid() * a.sigmoid()).sum(),
                          [t((2, 2), 3)])
+
+
+class TestGradOwnership:
+    """A grad buffer is edited in place only by the tensor that owns it.
+
+    Tape nodes keep their first cotangent by reference (no copy), so one
+    array may be the grad of several nodes at once; leaves own a copy.
+    """
+
+    def test_add_fan_out_then_second_contribution(self):
+        x, y = t((3, 2), 1), t((3, 2), 2)
+        w1, w2 = np.full((3, 2), 1.5), np.full((3, 2), -0.25)
+        a, b = x * 2.0, y * 3.0
+        c = a + b  # add hands one cotangent array to both a and b
+        loss = (c * Tensor(w1)).sum() + (a * Tensor(w2)).sum()
+        loss.backward()
+        # a's second contribution must not leak into b's shared buffer
+        assert np.array_equal(b.grad, w1)
+        assert np.array_equal(a.grad, w1 + w2)
+        assert np.array_equal(y.grad, 3.0 * w1)
+        assert np.array_equal(x.grad, 2.0 * (w1 + w2))
+
+    def test_two_backward_calls_match_separate_losses(self):
+        w = np.random.default_rng(3).normal(size=(2, 3))
+
+        def losses(x):
+            h = (x * 3.0).tanh()  # interior node shared by both losses
+            return (h * h).sum(), (h * Tensor(w)).sum()
+
+        x = t((2, 3), 4)
+        first, second = losses(x)
+        first.backward()
+        second.backward()
+
+        separate = t((2, 3), 4)
+        losses(separate)[0].backward()
+        losses(separate)[1].backward()
+        assert np.array_equal(x.grad, separate.grad)
+
+    def test_leaf_operands_of_add_get_distinct_buffers(self):
+        a, b = t((2, 2), 5), t((2, 2), 6)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        a.grad[0, 0] = 42.0
+        assert np.array_equal(b.grad, np.ones((2, 2)))
+
+    def test_float32_grads_stay_float32(self):
+        x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        a = x * 2.0
+        c = a + a.exp()  # fan-out: a's grad is kept, then summed
+        (c * c).sum().backward()
+        assert a.grad.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        # a float64 contribution into a kept float32 buffer
+        node = x * 1.0
+        node._accumulate(np.ones((3, 2), dtype=np.float32))
+        node._accumulate(np.ones((3, 2), dtype=np.float64))
+        assert node.grad.dtype == np.float32
+        assert np.array_equal(node.grad, np.full((3, 2), 2.0))

@@ -78,7 +78,8 @@ class TestLearnableAugmentor:
                                       np.random.default_rng(1))
         emb = Tensor(np.random.default_rng(2).normal(
             size=(dataset.train.num_nodes, 8)))
-        probs = aug.edge_probabilities(emb, cands, np.random.default_rng(3))
+        probs = aug.edge_logits(emb, cands,
+                                np.random.default_rng(3)).sigmoid()
         assert probs.shape == (len(cands),)
         assert ((probs.data > 0) & (probs.data < 1)).all()
 

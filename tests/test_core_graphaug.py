@@ -80,6 +80,13 @@ class TestForward:
         assert probs.shape == (len(model.candidates),)
         assert ((probs >= 0) & (probs <= 1)).all()
 
+    def test_edge_keep_probabilities_are_noise_free(self, dataset, config):
+        model = GraphAug(dataset, config, seed=0)
+        state = model.aug_rng.bit_generator.state
+        first = model.edge_keep_probabilities()
+        assert np.array_equal(first, model.edge_keep_probabilities())
+        assert model.aug_rng.bit_generator.state == state
+
 
 class TestTraining:
     def test_improves_over_initialization(self, dataset, config):

@@ -11,7 +11,9 @@ mixhop encode as one tape node.  The contracts:
   bit-for-bit, at r = 0 and r = 1, float32 and float64; a 3-epoch fit
   ends on the exact parameters of the old code (golden SHA-256).
 * **Fused backend.**  The encode output is bit-identical to the
-  composed encoder's; loss and gradients agree to float tolerance.
+  composed encoder's, and its VJP to the per-slot edge-weight formula
+  it replaced; the factorized edge scorer and the whole step agree with
+  the composed path to float tolerance.
 * **Linear memory.**  One r = 0 step's peak allocation grows roughly
   with N·d + E, not N².
 """
@@ -23,8 +25,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.autograd import (concat, default_dtype, spmm, use_backend,
+from repro.autograd import (Tensor, concat, default_dtype,
+                            enable_primitive_profiling, primitive_profile,
+                            reset_primitive_profile, spmm, use_backend,
                             weighted_spmm, functional as F)
+from repro.autograd.fused import _mixhop_encode_fwd, _vjp_mixhop_encode
 from repro.core.gib import gib_kl_term, gib_prediction_term
 from repro.data import tiny_dataset
 from repro.data.synthetic import PROFILES, generate_synthetic
@@ -95,6 +100,43 @@ def _old_loss(model, users, pos, neg):
     contrastive = F.decomposed_infonce_loss(z_a, z_b, cfg.temperature,
                                             cfg.negative_weight)
     return total + cfg.ssl_weight * contrastive
+
+
+def _old_vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
+    """The fused encode's VJP with the per-CSR-slot edge-weight gradient
+    (``np.repeat`` of each row's cotangent, an E x d gather and einsum
+    per hop), as it was before the pair-level form."""
+    csr_t, layers = res
+    weights = operands[1]
+    g_mean = g * np.asarray(1.0 / (len(layers) + 1), dtype=g.dtype)
+    counts = np.diff(adjacency.indptr)
+    order = np.argsort(adjacency.rows * adjacency.shape[1]
+                       + adjacency.cols)
+    pair_slots = np.empty_like(order)
+    pair_slots[order] = np.arange(order.shape[0])
+    pair_slots = pair_slots.reshape(2, adjacency.num_pairs)
+    slot_grads = np.zeros(adjacency.indices.shape[0], dtype=weights.dtype)
+    gate_grads = []
+    carry = g_mean
+    for states, mix in reversed(layers):
+        dmix = np.array([np.vdot(carry, states[hop]) for hop in hops],
+                        dtype=mix.dtype)
+        gate_grads.append(mix * (dmix - np.dot(mix, dmix)))
+        grad = None
+        for k in range(hops[-1], -1, -1):
+            for idx, hop in enumerate(hops):
+                if hop == k:
+                    term = carry * mix[idx]
+                    grad = term if grad is None else grad + term
+            if k == 0:
+                break
+            slot_grads += np.einsum(
+                "ed,ed->e", np.repeat(grad, counts, axis=0),
+                states[k - 1][adjacency.indices])
+            grad = csr_t @ grad
+        carry = grad + g_mean
+    weight_grad = slot_grads[pair_slots[0]] + slot_grads[pair_slots[1]]
+    return [carry, weight_grad, *reversed(gate_grads)]
 
 
 # ---------------------------------------------------------------------- #
@@ -230,6 +272,89 @@ class TestFusedEncodeParity:
             scale = np.abs(grad).max()
             np.testing.assert_allclose(fused_grads[name], grad, rtol=rtol,
                                        atol=rtol * scale, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_edge_weight_grad_bit_identical_to_slot_formula(self, dataset,
+                                                            dtype):
+        with default_dtype(dtype):
+            model = build_model("graphaug", dataset,
+                                ModelConfig(embedding_dim=16, num_layers=3),
+                                seed=5)
+            view, _ = model.sample_augmented_views(
+                model._encode_original())
+        operands = (model.ego_embeddings().data, view.edge_weights.data,
+                    *(layer.gates.data for layer in model.encoder.layers))
+        hops = model.encoder.hops
+        ans, res = _mixhop_encode_fwd(view.pattern, operands, hops)
+        g = np.random.default_rng(9).normal(size=ans.shape).astype(dtype)
+        new = _vjp_mixhop_encode(g, ans, res, view.pattern, operands, hops)
+        old = _old_vjp_mixhop_encode(g, ans, res, view.pattern, operands,
+                                     hops)
+        assert new[1].dtype == np.dtype(dtype)
+        for new_grad, old_grad in zip(new, old):
+            assert np.array_equal(new_grad, old_grad)
+
+    @pytest.mark.parametrize("dtype,rtol", [("float32", 1e-5),
+                                            ("float64", 1e-12)])
+    def test_edge_scorer_matches_composed_scorer(self, dataset, dtype,
+                                                 rtol):
+        with default_dtype(dtype):
+            model = build_model("graphaug", dataset,
+                                ModelConfig(embedding_dim=16, num_layers=2),
+                                seed=5)
+            nodes = model._encode_original().detach()
+            nodes.requires_grad = True
+            weights = np.random.default_rng(2).normal(
+                size=len(model.candidates)).astype(dtype)
+            runs = []
+            for backend in ("reference", "fused"):
+                model.zero_grad()
+                nodes.grad = None
+                with use_backend(backend):
+                    logits = model.augmentor.score(nodes, model.candidates)
+                (logits * Tensor(weights)).sum().backward()
+                grads = {name: p.grad.copy() for name, p in
+                         model.augmentor.named_parameters()}
+                grads["nodes"] = nodes.grad.copy()
+                runs.append((logits, grads))
+        (ref, ref_grads), (fused, fused_grads) = runs
+        assert fused._op == "edge_scorer" and ref._op != "edge_scorer"
+        assert fused.data.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(fused.data, ref.data, rtol=rtol,
+                                   atol=rtol * np.abs(ref.data).max())
+        assert fused_grads.keys() == ref_grads.keys()
+        for name, grad in ref_grads.items():
+            assert fused_grads[name].dtype == np.dtype(dtype)
+            np.testing.assert_allclose(fused_grads[name], grad, rtol=rtol,
+                                       atol=rtol * np.abs(grad).max(),
+                                       err_msg=name)
+
+    def test_profile_splits_vjp_time(self, dataset):
+        model = build_model("graphaug", dataset,
+                            ModelConfig(embedding_dim=16, num_layers=2),
+                            seed=5)
+        reset_primitive_profile()
+        enable_primitive_profiling(True)
+        try:
+            with use_backend("fused"):
+                loss = model.loss(*_batch(dataset))
+                forward = primitive_profile()
+                loss.backward()
+        finally:
+            enable_primitive_profiling(False)
+        profile = primitive_profile()
+        reset_primitive_profile()
+        # three encodes and one scorer, each one forward and one VJP
+        for name, nodes in (("mixhop_encode", 3), ("edge_scorer", 1)):
+            assert forward[name]["calls"] == nodes
+            assert forward[name]["vjp_calls"] == 0
+            assert forward[name]["vjp_seconds"] == 0.0
+            entry = profile[name]
+            assert entry["vjp_calls"] == nodes
+            assert entry["calls"] == 2 * nodes  # forward + VJP
+            assert 0.0 < entry["vjp_seconds"] < entry["seconds"]
+            assert entry["seconds"] - entry["vjp_seconds"] == \
+                pytest.approx(forward[name]["seconds"])
 
     @pytest.mark.parametrize("overrides", [{"mixhop_mode": "dense"},
                                            {"use_mixhop": False}])
