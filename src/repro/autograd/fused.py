@@ -220,7 +220,8 @@ def _vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
     if weights is not None:
         # d weight[p] = sum over hops of <grad[h], state[t]> (forward
         # entry) + <grad[t], state[h]> (mirror entry); the two entries
-        # keep separate accumulators, each summed over hops in order
+        # keep separate accumulators, each summed over hops in order.
+        # np.take gathers the same rows as fancy indexing, ~2x faster
         heads = adjacency.rows[:adjacency.num_pairs]
         tails = adjacency.cols[:adjacency.num_pairs]
         fwd_grads = np.zeros(adjacency.num_pairs, dtype=weights.dtype)
@@ -241,9 +242,10 @@ def _vjp_mixhop_encode(g, ans, res, adjacency, operands, hops):
                 break
             if weights is not None:
                 state = states[k - 1]
-                fwd_grads += np.einsum("pd,pd->p", grad[heads], state[tails])
-                mirror_grads += np.einsum("pd,pd->p", grad[tails],
-                                          state[heads])
+                fwd_grads += np.einsum("pd,pd->p", np.take(grad, heads, 0),
+                                       np.take(state, tails, 0))
+                mirror_grads += np.einsum("pd,pd->p", np.take(grad, tails, 0),
+                                          np.take(state, heads, 0))
             grad = csr_t @ grad
         carry = grad + g_mean  # each layer input is also a pooled output
     weight_grad = None if weights is None else fwd_grads + mirror_grads
@@ -308,8 +310,8 @@ def _end_selection(heads, tails, num_nodes, dtype):
 def _edge_scorer_fwd(operands, heads, tails):
     nodes, w1, b1, w2, b2 = operands
     dim = nodes.shape[1]
-    head = nodes[heads]
-    tail = nodes[tails]
+    head = np.take(nodes, heads, 0)
+    tail = np.take(nodes, tails, 0)
     prod = head * tail
     ends = _end_selection(heads, tails, nodes.shape[0], nodes.dtype)
     # [h_u ‖ h_v ‖ h_u⊙h_v] W1 + b1
