@@ -9,10 +9,9 @@ Measures, on the gowalla profile with the paper's 60-epoch budget:
   rank-and-score Python loop, asserting the >= 2x speedup the chunked
   inference PR claims (and exact metric parity while at it);
 * serving throughput (users/sec at k=20) of the
-  ``repro.serve.RecommenderService`` — batched single-worker against a
-  naive score-one-rank-one request loop (>= 2x asserted), plus the
-  N-worker sharded path, which must return bit-identical lists and is
-  asserted faster only when the machine actually has multiple cores;
+  ``repro.serve.RecommenderService`` — a batched request served in
+  four chunks against a naive score-one-rank-one request loop (exact
+  parity and >= 2x asserted);
 * one full LightGCN training run (float32 via the harness, fused
   kernels on per ``BENCH_TRAIN_CONFIG``) with spmm profiling on, so the
   ``BENCH_hotpath.json`` artifact carries an epoch/sampler/spmm/eval
@@ -82,9 +81,6 @@ MIN_EVAL_SPEEDUP = 2.0
 
 #: minimum batched-serving speedup over the naive per-request loop
 MIN_SERVE_SPEEDUP = 2.0
-
-#: worker-pool width for the sharded serving measurement
-SERVE_WORKERS = 4
 
 
 class _NaiveBPRSampler:
@@ -237,13 +233,11 @@ def _naive_serve(user_emb, item_emb, train_matrix, users, k):
 
 
 def test_serving_throughput_microbenchmark(tmp_path):
-    """Users/sec at k=20: naive loop vs service, 1 vs N workers.
+    """Users/sec at k=20: naive per-user loop vs the batched service.
 
     The service answers from a snapshot artifact (the production path:
-    train elsewhere, serve from the file).  The sharded run must return
-    exactly the single-worker lists; it is only asserted *faster* when
-    the machine has more than one usable core, since threads cannot beat
-    one core on pure numpy work — its throughput is recorded either way.
+    train elsewhere, serve from the file) and must return exactly the
+    naive loop's lists before either is timed.
     """
     from repro.autograd import default_dtype
     from repro.models import build_model
@@ -256,22 +250,17 @@ def test_serving_throughput_microbenchmark(tmp_path):
                             seed=0)
     path = save_snapshot(model, dataset, str(tmp_path / "serve-bench"))
     users = np.arange(dataset.num_users, dtype=np.int64)
-    # several shards per request so the worker pool has work to split
-    chunk_size = max(1, math.ceil(len(users) / SERVE_WORKERS))
-    single = RecommenderService.from_snapshot(path, num_workers=1,
-                                              chunk_size=chunk_size)
-    sharded = RecommenderService.from_snapshot(path,
-                                               num_workers=SERVE_WORKERS,
-                                               chunk_size=chunk_size)
+    # four chunks per request, so the timed path loops over chunks
+    chunk_size = max(1, math.ceil(len(users) / 4))
+    single = RecommenderService.from_snapshot(path, chunk_size=chunk_size)
     user_emb, item_emb = single._user_emb, single._item_emb
     train = dataset.train.matrix
 
-    # parity first: the naive loop, the service and the sharded service
-    # must agree exactly before any timing means anything
+    # parity first: the naive loop and the service must agree exactly
+    # before any timing means anything
     expected = single.recommend(users, k=k)
     assert np.array_equal(expected,
                           _naive_serve(user_emb, item_emb, train, users, k))
-    assert np.array_equal(expected, sharded.recommend(users, k=k))
 
     def throughput(fn, min_seconds=0.5):
         fn()  # warm
@@ -286,22 +275,16 @@ def test_serving_throughput_microbenchmark(tmp_path):
     naive_tp = throughput(
         lambda: _naive_serve(user_emb, item_emb, train, users, k))
     single.close()
-    sharded.close()
 
-    # time each serving path on a fresh service + fresh metrics registry
-    # so the per-path p50/p95/p99 come straight from the service's own
-    # always-on request histogram (repro.obs), unmixed across paths
+    # time the service on a fresh instance + fresh metrics registry so
+    # its p50/p95/p99 come straight from the service's own always-on
+    # request histogram (repro.obs), without the parity request
     from repro.obs import reset_metrics
     reset_metrics()
     with RecommenderService.from_snapshot(
-            path, num_workers=1, chunk_size=chunk_size) as svc:
+            path, chunk_size=chunk_size) as svc:
         batched_tp = throughput(lambda: svc.recommend(users, k=k))
         batched_latency = svc.stats()["latency_seconds"]
-    reset_metrics()
-    with RecommenderService.from_snapshot(
-            path, num_workers=SERVE_WORKERS, chunk_size=chunk_size) as svc:
-        sharded_tp = throughput(lambda: svc.recommend(users, k=k))
-        sharded_latency = svc.stats()["latency_seconds"]
 
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity")
@@ -310,37 +293,23 @@ def test_serving_throughput_microbenchmark(tmp_path):
         "dataset": "gowalla",
         "k": k,
         "num_users": int(len(users)),
-        "workers": SERVE_WORKERS,
         "cores": cores,
         "users_per_second_naive": naive_tp,
         "users_per_second_batched": batched_tp,
-        "users_per_second_sharded": sharded_tp,
         "speedup_batched_vs_naive": batched_tp / naive_tp,
-        "speedup_sharded_vs_batched": sharded_tp / batched_tp,
         "latency_seconds_batched": batched_latency,
-        "latency_seconds_sharded": sharded_latency,
     })
     print(f"\nserving k={k}: naive {naive_tp:,.0f}/s, "
-          f"batched(1w) {batched_tp:,.0f}/s, "
-          f"sharded({SERVE_WORKERS}w) {sharded_tp:,.0f}/s "
-          f"({cores} core(s))")
+          f"batched {batched_tp:,.0f}/s ({cores} core(s))")
     print(f"request latency p50/p95/p99 (ms): "
           f"batched {batched_latency['p50'] * 1e3:.2f}/"
           f"{batched_latency['p95'] * 1e3:.2f}/"
-          f"{batched_latency['p99'] * 1e3:.2f}, "
-          f"sharded {sharded_latency['p50'] * 1e3:.2f}/"
-          f"{sharded_latency['p95'] * 1e3:.2f}/"
-          f"{sharded_latency['p99'] * 1e3:.2f}")
-    for latency in (batched_latency, sharded_latency):
-        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+          f"{batched_latency['p99'] * 1e3:.2f}")
+    assert (0 < batched_latency["p50"] <= batched_latency["p95"]
+            <= batched_latency["p99"])
     assert batched_tp >= MIN_SERVE_SPEEDUP * naive_tp, (
         f"batched serving only {batched_tp / naive_tp:.2f}x the naive "
         f"loop, below the {MIN_SERVE_SPEEDUP}x acceptance bar")
-    if cores > 1:
-        assert sharded_tp > batched_tp, (
-            f"{SERVE_WORKERS}-worker sharding ({sharded_tp:,.0f}/s) did "
-            f"not beat single-worker ({batched_tp:,.0f}/s) on a "
-            f"{cores}-core machine")
 
 
 #: offered load for the latency-percentile load test: one request every

@@ -9,7 +9,7 @@ Demonstrates the ``repro.serve`` subsystem end to end through the
 experiment facade: the spec's ``artifacts.snapshot`` persists the
 trained model as a single-artifact snapshot, a ``RecommenderService``
 stands back up from the artifact without the training pipeline, answers
-sharded ``recommend`` requests, and folds new interactions in with
+batched ``recommend`` requests, and folds new interactions in with
 ``partial_update`` — no retrain.
 """
 
@@ -50,7 +50,7 @@ def main(dataset: str = "gowalla", epochs: int = 30):
           f"size={os.path.getsize(path) / 1024:.0f} KiB\n")
 
     # 3. Serve from the artifact alone — the model object is not needed
-    service = RecommenderService.from_snapshot(path, num_workers=2)
+    service = RecommenderService.from_snapshot(path)
     users = np.unique(np.array([3, 14, 15, 92])
                       % experiment.dataset().num_users)
     topk = service.recommend(users, k=5)
@@ -74,7 +74,7 @@ def main(dataset: str = "gowalla", epochs: int = 30):
           f"(item {consumed} gone)\n")
     assert consumed not in after
 
-    # 5. Throughput: the sharded executor serves whole user batches
+    # 5. Throughput: one request serves a whole user batch, chunk by chunk
     all_users = np.arange(experiment.dataset().num_users)
     start = time.perf_counter()
     service.recommend(all_users, k=20)

@@ -9,7 +9,7 @@ Subpackages
 ``repro.train``     configs and the shared training loop
 ``repro.models``    17 baseline recommenders + registry
 ``repro.core``      GraphAug: learnable augmentor, GIB, mixhop encoder
-``repro.serve``     online serving: snapshots, sharded workers, updates
+``repro.serve``     online serving: snapshots, exact/ANN retrieval, updates
 ``repro.api``       declarative experiment facade: specs, runs, sweeps
 """
 

@@ -413,8 +413,7 @@ def _failed_summary(spec_payload: Dict, run_dir: Optional[str],
 # --------------------------------------------------------------------- #
 
 def recommend_topk(snapshot: str, users: Optional[np.ndarray] = None,
-                   k: int = 20, num_workers: int = 1,
-                   exclude_seen: bool = True,
+                   k: int = 20, exclude_seen: bool = True,
                    train_spec: Optional[ExperimentSpec] = None,
                    run_dir: Optional[str] = None,
                    backend: str = "exact", mmap: bool = False) -> Dict:
@@ -467,8 +466,7 @@ def recommend_topk(snapshot: str, users: Optional[np.ndarray] = None,
                 snapshot=os.path.abspath(path)))
         Experiment(train_spec).run(run_dir=run_dir)
 
-    with RecommenderService.from_snapshot(path, num_workers=num_workers,
-                                          backend=backend,
+    with RecommenderService.from_snapshot(path, backend=backend,
                                           mmap=mmap) as service:
         stats = service.stats()
         if users is not None:
@@ -479,7 +477,6 @@ def recommend_topk(snapshot: str, users: Optional[np.ndarray] = None,
     return {
         "model": stats["model"],
         "backend": stats["backend"],
-        "num_workers": stats["num_workers"],
         "k": k,
         "exclude_seen": exclude_seen,
         "num_users": int(len(users)),

@@ -65,8 +65,8 @@ Profiling
 ---------
 :func:`enable_primitive_profiling` turns on wall-clock accounting of
 every primitive application — forward and each VJP call — aggregated per
-primitive name under a lock (safe under the sharded serving executor,
-unlike the module-level spmm counters this replaces).
+primitive name under a lock (safe when several threads apply
+primitives, unlike the module-level spmm counters this replaces).
 :func:`primitive_profile` returns ``{name: {"seconds", "calls",
 "vjp_seconds", "vjp_calls"}}``: the first two count forward and VJP
 together, the last two the VJP share alone.  The legacy ``spmm_profile``

@@ -707,9 +707,18 @@ defvjp("take_rows", _vjp_take_rows)
 _getitem = primitive("getitem")(lambda a, key: a[key])
 
 
+_BASIC_KEY_TYPES = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def _vjp_getitem(g, ans, a, key):
     grad = np.zeros_like(a)
-    np.add.at(grad, key, g)
+    parts = key if isinstance(key, tuple) else (key,)
+    if all(isinstance(part, _BASIC_KEY_TYPES) and not isinstance(part, bool)
+           for part in parts):
+        # basic keys select each element at most once: plain assignment
+        grad[key] = g
+    else:
+        np.add.at(grad, key, g)  # fancy keys may repeat an index
     return grad
 
 

@@ -38,8 +38,7 @@ Examples::
     python -m repro evaluate --model graphaug --dataset gowalla \
         --checkpoint best.npz
     python -m repro recommend --snapshot serve.npz --model lightgcn \
-        --dataset gowalla --users 0,1,2 --k 20 --workers 4 \
-        --backend ann --mmap
+        --dataset gowalla --users 0,1,2 --k 20 --backend ann --mmap
     python -m repro worker runs/sweep --drain-when-empty
     python -m repro sweep-status runs/sweep
 """
@@ -163,12 +162,10 @@ def _cmd_recommend(args) -> int:
     if args.users:
         users = [int(u) for u in args.users.split(",")]
     payload = recommend_topk(args.snapshot, users=users, k=args.k,
-                             num_workers=args.workers,
                              exclude_seen=not args.include_seen,
                              train_spec=train_spec,
                              backend=args.backend, mmap=args.mmap)
-    print(f"serving:  {payload['model']} ({payload['backend']} backend, "
-          f"{payload['num_workers']} worker(s))")
+    print(f"serving:  {payload['model']} ({payload['backend']} backend)")
     text = json.dumps({"model": payload["model"], "k": payload["k"],
                        "exclude_seen": payload["exclude_seen"],
                        "recommendations": payload["recommendations"]},
@@ -541,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--users", default=None,
                        help="comma-separated user ids (default: all users)")
     p_rec.add_argument("--k", type=int, default=20)
-    p_rec.add_argument("--workers", type=int, default=1,
-                       help="shard executor thread-pool width")
     p_rec.add_argument("--backend", default="exact",
                        choices=["exact", "ann"],
                        help="retrieval path: exact GEMM (reference) or "

@@ -36,8 +36,8 @@ def pool_gaussian_parameters(views: Sequence[Tensor]
         raise ValueError("embedding dim must be even to split into (mu, eta)")
     pooled = sum(views[1:], views[0]) * (1.0 / len(views))
     half = dim // 2
-    mu = pooled[:, np.arange(half)]
-    log_var = pooled[:, np.arange(half, dim)].clamp(low=-6.0, high=6.0)
+    mu = pooled[:, :half]
+    log_var = pooled[:, half:].clamp(low=-6.0, high=6.0)
     return mu, log_var
 
 

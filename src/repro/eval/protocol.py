@@ -56,9 +56,9 @@ def auto_chunk_size(num_items: int, itemsize: int = 8,
     ``chunk x num_items`` scores at ``itemsize`` bytes per score stays
     under ``budget_bytes`` (default :data:`DEFAULT_CHUNK_BUDGET_BYTES`,
     overridable via the ``REPRO_CHUNK_BUDGET_BYTES`` environment
-    variable).  Both the chunked evaluator (``chunk_size=None``) and the
-    serving shard executor (:mod:`repro.serve.sharding`) size their user
-    blocks through this.
+    variable).  Both the chunked evaluator (``chunk_size=None``) and
+    :class:`repro.serve.RecommenderService` size their user blocks
+    through this.
     """
     if budget_bytes is None:
         budget_bytes = int(os.environ.get("REPRO_CHUNK_BUDGET_BYTES",

@@ -4,8 +4,8 @@ Training produces parameters; this package turns them into a service:
 persist a trained model as a **snapshot**, stand a
 :class:`RecommenderService` up from it without the training pipeline,
 answer ``recommend(user_ids, k)`` requests through the chunked
-block-ranking kernels, shard request batches across a worker pool, and
-fold new interactions in online via ``partial_update``.
+block-ranking kernels, and fold new interactions in online via
+``partial_update``.
 
 Snapshot format (``repro-serve-snapshot/v1``)
 ---------------------------------------------
@@ -44,20 +44,18 @@ the saved dtype/seed and driven through ``score_users`` — in both cases
 ``RecommenderService.recommend`` reproduces ``top_k_lists`` of the live
 model exactly.
 
-Service / shard contract
-------------------------
+Service contract
+----------------
 * ``recommend(user_ids, k, exclude_seen=True)`` returns a
   ``(len(user_ids), k)`` array of item ids, best first, with each user's
   seen items masked; ranking runs through
   :func:`repro.eval.rank_items_block`, the same kernel the chunked
   evaluator uses (the ANN backend passes its compact candidate block
   with an ``item_ids`` column map).
-* Requests are partitioned into contiguous user-id chunks sized by the
-  evaluator's memory-budget rule (:func:`repro.eval.auto_chunk_size`)
-  and mapped over a :class:`ShardedExecutor` thread pool.  Chunk
-  boundaries are independent of worker count, so N workers return
-  bit-identical lists to 1 worker; workers scale throughput because the
-  shard work is GIL-releasing numpy.
+* A request is served as one loop over contiguous user-id chunks,
+  sized by the evaluator's memory-budget rule
+  (:func:`repro.eval.auto_chunk_size`) unless ``chunk_size`` is given.
+  Chunk size never changes the lists returned.
 * ``partial_update(users, items)`` is idempotent, thread-safe against
   concurrent ``recommend`` calls, always extends the exclusion CSR, and
   on the embeddings backend refreshes affected users' cached vectors by
@@ -71,8 +69,7 @@ Typical round trip::
     fit_model(model, dataset, config)           # or load a checkpoint
     save_snapshot(model, dataset, "model.npz")
 
-    service = RecommenderService.from_snapshot("model.npz",
-                                               num_workers=4)
+    service = RecommenderService.from_snapshot("model.npz")
     topk = service.recommend([3, 14, 15], k=20)
     service.partial_update([3], [topk[0, 0]])   # user 3 consumed an item
 """
@@ -82,7 +79,6 @@ from .snapshot import (SNAPSHOT_SCHEMA, SNAPSHOT_FORMAT_VERSION, Snapshot,
                        load_snapshot, resolve_snapshot_path,
                        save_embedding_snapshot, save_snapshot)
 from .service import RecommenderService
-from .sharding import ShardedExecutor, partition_users
 from .front import AsyncRequestFront, BackpressureError
 
 __all__ = [
@@ -91,5 +87,5 @@ __all__ = [
     "save_embedding_snapshot",
     "ANNConfig", "IVFIndex", "DEFAULT_RECALL_BUDGET", "recall_at_k",
     "AsyncRequestFront", "BackpressureError",
-    "RecommenderService", "ShardedExecutor", "partition_users",
+    "RecommenderService",
 ]

@@ -14,10 +14,9 @@ Two scoring backends (picked automatically):
 * **model** — models whose scores are not an embedding dot product
   (``ncf``, ``autorec``, ``biasmf``) are driven through their
   ``score_users`` contract, with ``inference_cache()`` held open per
-  request batch.  Model scoring is serialized across shard threads (it
-  toggles the process-global autograd mode); only the embeddings
-  backend scores shards concurrently, though masking/top-k of other
-  shards still overlaps model scoring.
+  request batch.  Model scoring is serialized under a lock (it toggles
+  the process-global autograd mode), because the request front's
+  dispatcher thread and direct callers may call ``recommend`` at once.
 
 On top of the embeddings backend sits a **retrieval** knob,
 ``backend="exact" | "ann"`` on :meth:`from_model` /
@@ -41,10 +40,11 @@ mapped tables because its embedding refresh is copy-on-write — it
 replaces ``self._user_emb`` with a mutated private copy and never
 writes through the read-only view.
 
-Requests are partitioned into user-id shards by a
-:class:`~repro.serve.sharding.ShardedExecutor` and served concurrently;
-shard boundaries do not depend on worker count, so the N-worker path is
-bit-identical to the single-worker path.
+A request is served as a loop over contiguous user-id chunks on the
+calling thread, sized by the evaluator's memory-budget rule
+(:func:`repro.eval.auto_chunk_size`) unless ``chunk_size`` is given.
+Each user's list depends only on that user's row, so chunking never
+changes the answer.
 
 ``partial_update(users, items)`` folds new interactions in without a
 retrain: the seen-item exclusion CSR always absorbs the new edges (so
@@ -71,10 +71,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ann import ANNConfig, IVFIndex
-from .sharding import ShardedExecutor
 from .snapshot import Snapshot, load_snapshot
 from ..data import InteractionDataset
-from ..eval import rank_items_block
+from ..eval import auto_chunk_size, rank_items_block
 from ..obs import counter, histogram, span
 
 
@@ -92,7 +91,6 @@ class RecommenderService:
                  user_embeddings: Optional[np.ndarray] = None,
                  item_embeddings: Optional[np.ndarray] = None,
                  model=None, model_name: str = "unknown",
-                 num_workers: int = 1,
                  chunk_size: Optional[int] = None,
                  backend: str = "exact",
                  ann_index: Optional[IVFIndex] = None,
@@ -135,13 +133,18 @@ class RecommenderService:
                                  f"items, service has {self.num_items}")
             index.enable_probe_cache(self.num_users)
             self._ann_index = index
-        self._executor = ShardedExecutor(num_workers=num_workers,
-                                         chunk_size=chunk_size)
+        # users per scoring chunk: the evaluator's memory-budget rule
+        # unless the caller fixes it
+        itemsize = (user_embeddings.dtype.itemsize
+                    if user_embeddings is not None else 8)
+        self._chunk_size = (auto_chunk_size(self.num_items, itemsize)
+                            if chunk_size is None
+                            else max(1, int(chunk_size)))
         self._update_lock = threading.Lock()
         # model-backend scoring is serialized: score_users toggles the
         # process-global autograd mode (no_grad), which is not safe to
-        # enter from several shard threads at once; masking and top-k of
-        # other shards still overlap with it
+        # enter from several threads at once, and the request front's
+        # dispatcher thread may serve while a direct caller does
         self._model_lock = threading.Lock()
         # always-on request latency histogram: histogram observation is a
         # couple of comparisons per request (no tracing flag needed), and
@@ -158,7 +161,6 @@ class RecommenderService:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_model(cls, model, dataset: InteractionDataset,
-                   num_workers: int = 1,
                    chunk_size: Optional[int] = None,
                    backend: str = "exact",
                    ann_config: Optional[ANNConfig] = None
@@ -179,12 +181,11 @@ class RecommenderService:
                    user_embeddings=users, item_embeddings=items,
                    model=None if embeddings is not None else model,
                    model_name=getattr(model, "name", type(model).__name__),
-                   num_workers=num_workers, chunk_size=chunk_size,
+                   chunk_size=chunk_size,
                    backend=backend, ann_config=ann_config)
 
     @classmethod
-    def from_snapshot(cls, snapshot, num_workers: int = 1,
-                      chunk_size: Optional[int] = None,
+    def from_snapshot(cls, snapshot, chunk_size: Optional[int] = None,
                       backend: str = "exact",
                       ann_config: Optional[ANNConfig] = None,
                       mmap: bool = False) -> "RecommenderService":
@@ -221,7 +222,7 @@ class RecommenderService:
                    user_embeddings=snapshot.user_embeddings,
                    item_embeddings=snapshot.item_embeddings,
                    model=model, model_name=snapshot.model_name,
-                   num_workers=num_workers, chunk_size=chunk_size,
+                   chunk_size=chunk_size,
                    backend=backend, ann_index=index)
 
     # ------------------------------------------------------------------ #
@@ -256,7 +257,7 @@ class RecommenderService:
                                         backend=self.backend):
             # capture one consistent state generation for the whole
             # request: a partial_update landing mid-request must not mix
-            # old and new embeddings/masks across this request's shards
+            # old and new embeddings/masks across this request's chunks
             # (the lock pairs the exclusion CSR with its matching
             # embedding generation)
             with self._update_lock:
@@ -272,7 +273,7 @@ class RecommenderService:
                              if exclusion is not None and index is not None
                              else None)
 
-            def shard_fn(chunk: np.ndarray) -> np.ndarray:
+            def serve_chunk(chunk: np.ndarray) -> np.ndarray:
                 ids = None
                 if index is not None:
                     seen = (seen_per_user[chunk]
@@ -290,16 +291,14 @@ class RecommenderService:
                 return rank_items_block(scores, exclusion, chunk, k=k,
                                         item_ids=ids)
 
-            itemsize = (user_emb.dtype.itemsize if user_emb is not None
-                        else 8)
+            size = self._chunk_size
             cache = (self._model.inference_cache()
                      if self._model is not None
                      and hasattr(self._model, "inference_cache")
                      else nullcontext())
             with cache:
-                blocks = self._executor.map_chunks(shard_fn, user_ids,
-                                                   self.num_items,
-                                                   itemsize=itemsize)
+                blocks = [serve_chunk(user_ids[start:start + size])
+                          for start in range(0, len(user_ids), size)]
             self._requests.inc()
             self._users_served.inc(len(user_ids))
             if not blocks:
@@ -405,11 +404,7 @@ class RecommenderService:
             "num_users": self.num_users,
             "num_items": self.num_items,
             "seen_interactions": int(self._exclusion.nnz),
-            "num_workers": self._executor.num_workers,
-            "chunk_size": self._executor.resolve_chunk_size(
-                self.num_items,
-                itemsize=(self._user_emb.dtype.itemsize
-                          if self._user_emb is not None else 8)),
+            "chunk_size": self._chunk_size,
             "requests_served": int(self._requests.value),
             "latency_seconds": self._latency.percentiles(),
         }
@@ -418,8 +413,9 @@ class RecommenderService:
         return stats
 
     def close(self) -> None:
-        """Release the shard executor's thread pool."""
-        self._executor.close()
+        """Release nothing: requests run on the calling thread, so there
+        is no pool to shut down.  Kept for the context-manager protocol
+        and existing ``close()`` callers."""
 
     def __enter__(self) -> "RecommenderService":
         return self

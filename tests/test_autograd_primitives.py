@@ -194,6 +194,7 @@ CASES = {
         ("fancy-pair", lambda a: _scalarize(
             a[np.arange(3), np.arange(3)]), [((3, 4), 45, {})]),
         ("mask", lambda a: _scalarize(a[_COND]), [((3, 4), 46, {})]),
+        ("slice", lambda a: _scalarize(a[:, 1:3]), [((3, 4), 85, {})]),
     ],
     "concat": [("axis0", lambda a, b, c: _scalarize(
         concat([a, b, c], axis=0)),

@@ -241,6 +241,27 @@ class TestLinearAlgebraAndShape:
         cols = np.arange(2, 5)
         assert gradcheck(lambda a: (a[:, cols] ** 2).sum(), [x])
 
+    @pytest.mark.parametrize("key", [
+        (slice(None), slice(None, 3)), (slice(None), slice(3, None)),
+        2, np.int64(-1), (Ellipsis, 1), (None, slice(1, 4)),
+        (slice(None, None, -2), slice(1, 5, 2)), Ellipsis],
+        ids=repr)
+    def test_getitem_basic_key_grad_matches_add_at(self, key):
+        """Basic keys assign the cotangent instead of np.add.at-ing it;
+        the gradient must be the same bits as the add.at form."""
+        x = t((4, 6))
+        upstream = np.random.default_rng(3).normal(size=x.data[key].shape)
+        (x[key] * Tensor(upstream)).sum().backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, key, upstream)
+        assert np.array_equal(x.grad, expected)
+
+    def test_getitem_repeated_fancy_key_accumulates(self):
+        x = t((3, 2))
+        x[np.array([1, 1, 0])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0],
+                                               [0.0, 0.0]])
+
     def test_concat(self):
         assert gradcheck(
             lambda a, b: (concat([a, b], axis=1) ** 2).sum(),

@@ -87,7 +87,7 @@ class TestRecommend:
         capsys.readouterr()
         # second call serves the existing snapshot, no dataset needed
         code = main(["recommend", "--snapshot", snap, "--users", "3",
-                     "--k", "5", "--workers", "2"])
+                     "--k", "5"])
         assert code == 0
         served = json.loads(
             capsys.readouterr().out.split("\n", 1)[1])

@@ -2,9 +2,9 @@
 
 The acceptance contract: ``RecommenderService.recommend`` over a loaded
 snapshot reproduces ``top_k_lists`` of the live model **exactly**, for
-every registered model; the N-worker sharded path is bit-identical to
-the single-worker path; ``partial_update`` excludes new interactions
-immediately.
+every registered model; a request served in many chunks is
+bit-identical to one served in the default chunking; ``partial_update``
+excludes new interactions immediately.
 """
 
 import os
@@ -16,8 +16,8 @@ import scipy.sparse as sp
 from repro.data import tiny_dataset
 from repro.eval import auto_chunk_size, rank_items_block, top_k_lists
 from repro.models import available_models, build_model
-from repro.serve import (RecommenderService, ShardedExecutor, Snapshot,
-                         load_snapshot, partition_users, save_snapshot)
+from repro.serve import (RecommenderService, Snapshot, load_snapshot,
+                         save_snapshot)
 from repro.train import ModelConfig, TrainConfig, fit_model
 
 ALL_MODELS = available_models()
@@ -60,27 +60,29 @@ class TestServingParity:
         assert np.array_equal(service.recommend(k=K), expected)
 
 
-def test_sharded_path_identical_to_single_worker(dataset, model_config):
+def test_multi_chunk_path_identical_to_default_chunking(dataset,
+                                                       model_config):
     model = _build("lightgcn", dataset, model_config)
-    # chunk_size=7 forces many shards; worker count must not matter
-    single = RecommenderService.from_model(model, dataset,
-                                           num_workers=1, chunk_size=7)
-    sharded = RecommenderService.from_model(model, dataset,
-                                            num_workers=4, chunk_size=7)
+    # chunk_size=7 splits the request into many chunks; the default
+    # memory-budget chunking serves the tiny catalog in one
     users = np.arange(dataset.num_users)
-    expected = single.recommend(users, k=K)
-    assert np.array_equal(sharded.recommend(users, k=K), expected)
-    sharded.close()
-    single.close()
+    expected = top_k_lists(model, dataset, k=K, users=users)
+    with RecommenderService.from_model(model, dataset) as whole, \
+            RecommenderService.from_model(model, dataset,
+                                          chunk_size=7) as chunked:
+        assert whole.stats()["chunk_size"] >= len(users)
+        assert chunked.stats()["chunk_size"] == 7
+        assert np.array_equal(whole.recommend(users, k=K), expected)
+        assert np.array_equal(chunked.recommend(users, k=K), expected)
 
 
-def test_sharded_model_backend_keeps_autograd_mode(dataset, model_config):
-    """Concurrent model-backend shards must not corrupt the global
-    autograd flag (score_users enters no_grad; entries are serialized)."""
+def test_multi_chunk_model_backend_keeps_autograd_mode(dataset,
+                                                       model_config):
+    """A model-backend request of many chunks must leave the global
+    autograd flag on (score_users enters no_grad once per chunk)."""
     from repro.autograd import is_grad_enabled
     model = _build("ncf", dataset, model_config)
-    service = RecommenderService.from_model(model, dataset,
-                                            num_workers=4, chunk_size=5)
+    service = RecommenderService.from_model(model, dataset, chunk_size=5)
     users = np.arange(dataset.num_users)
     expected = top_k_lists(model, dataset, k=K, users=users)
     for _ in range(3):
@@ -337,10 +339,10 @@ class TestPartialUpdate:
 
 
 # --------------------------------------------------------------------- #
-# sharding / chunk sizing
+# chunk sizing
 # --------------------------------------------------------------------- #
 
-class TestSharding:
+class TestChunkSizing:
     def test_auto_chunk_size_formula(self):
         assert auto_chunk_size(1000, itemsize=8,
                                budget_bytes=8_000_000) == 1000
@@ -351,30 +353,6 @@ class TestSharding:
     def test_auto_chunk_size_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_BUDGET_BYTES", "800")
         assert auto_chunk_size(10, itemsize=8) == 10
-
-    def test_shard_boundaries_ignore_worker_count(self):
-        users = np.arange(103)
-        one = ShardedExecutor(num_workers=1, chunk_size=10)
-        four = ShardedExecutor(num_workers=4, chunk_size=10)
-        for a, b in zip(one.shard(users, 50), four.shard(users, 50)):
-            assert np.array_equal(a, b)
-
-    def test_map_chunks_preserves_order(self):
-        users = np.arange(57)
-        with ShardedExecutor(num_workers=4, chunk_size=5) as pool:
-            out = pool.map_chunks(lambda chunk: chunk * 2, users, 50)
-        assert np.array_equal(np.concatenate(out), users * 2)
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(num_workers=0)
-
-    def test_partition_users(self):
-        shards = partition_users(np.arange(10), 4)
-        assert sum(len(s) for s in shards) == 10
-        assert np.array_equal(np.concatenate(shards), np.arange(10))
-        with pytest.raises(ValueError):
-            partition_users(np.arange(4), 0)
 
 
 def test_rank_items_block_unmasked():
@@ -415,11 +393,10 @@ class TestBatchedNCF:
 
 def test_service_stats(dataset, model_config):
     model = _build("lightgcn", dataset, model_config)
-    service = RecommenderService.from_model(model, dataset, num_workers=2)
+    service = RecommenderService.from_model(model, dataset)
     stats = service.stats()
     assert stats["model"] == "lightgcn"
     assert stats["backend"] == "embeddings"
-    assert stats["num_workers"] == 2
     assert stats["seen_interactions"] == dataset.train.matrix.nnz
     service.partial_update([0], [int(service.recommend(
         np.array([0]), k=1)[0, 0])])

@@ -215,14 +215,15 @@ class TestServiceBackendKnob:
             assert "ann" in ann.stats()
             assert np.array_equal(ann.recommend(k=K), exact.recommend(k=K))
 
-    def test_worker_count_invariance(self, tmp_path):
+    def test_chunk_size_invariance(self, tmp_path):
         user, item = clustered_embeddings()
         path = save_embedding_snapshot(str(tmp_path / "c.npz"), user, item,
                                        train_matrix=random_train(300, 2000))
-        with RecommenderService.from_snapshot(path, backend="ann") as one, \
+        with RecommenderService.from_snapshot(path, backend="ann") as whole, \
                 RecommenderService.from_snapshot(path, backend="ann",
-                                                 num_workers=4) as four:
-            assert np.array_equal(one.recommend(k=K), four.recommend(k=K))
+                                                 chunk_size=7) as chunked:
+            assert np.array_equal(whole.recommend(k=K),
+                                  chunked.recommend(k=K))
 
     def test_ann_excludes_seen_items(self, tmp_path):
         user, item = clustered_embeddings()
