@@ -258,15 +258,13 @@ def check_hotpath_trend(records: Optional[list] = None,
     perf regression fails the bench instead of silently rolling into a
     worse committed baseline.
 
-    The serving, sweep and training-scheduler tiers are gated through
-    ``extras`` the same way: when both this session and the committed
-    artifact carry the entry, its throughput metric (higher is better)
-    must not fall below the committed number by more than ``tolerance``x
-    — ``serving_microbenchmark.users_per_second_batched`` for the
-    serving tier, ``sweep_microbenchmark.cells_per_second_sequential``
-    for the sweep engine and
-    ``parallel_train_microbenchmark.stale_epochs_per_second`` for the
-    amortized training schedule and
+    The serving, sweep and dispatch tiers are gated through ``extras``
+    the same way: when both this session and the committed artifact
+    carry the entry, its throughput metric (higher is better) must not
+    fall below the committed number by more than ``tolerance``x —
+    ``serving_microbenchmark.users_per_second_batched`` for the serving
+    tier, ``sweep_microbenchmark.cells_per_second_sequential`` for the
+    sweep engine and
     ``dispatch_microbenchmark.broker_cycles_per_second`` for the
     filesystem broker's pure enqueue->claim->ack overhead (dispatched
     sweep wall time is recorded but not gated: it includes worker
@@ -327,8 +325,6 @@ def check_hotpath_trend(records: Optional[list] = None,
          "lower"),
         ("sweep", "sweep_microbenchmark", "cells_per_second_sequential",
          "higher"),
-        ("parallel_train", "parallel_train_microbenchmark",
-         "stale_epochs_per_second", "higher"),
         ("dispatch", "dispatch_microbenchmark",
          "broker_cycles_per_second", "higher"),
     )

@@ -29,11 +29,6 @@ Measures, on the gowalla profile with the paper's 60-epoch budget:
   run-dir fingerprints asserted bit-identical first; the parallel path
   is asserted faster only on multi-core machines (interpreter start +
   import costs ~1s per worker, which one core cannot amortize);
-* the training-scheduler microbenchmark: the same 60-epoch budget under
-  the exact loop and the K-stale schedule (``propagate_every=8``), the
-  K-stale speedup asserted against the >= 1.5x acceptance floor; plus
-  the staleness-vs-quality table (best metrics at K=1 vs K=8 for every
-  amortization-eligible model family);
 * the dispatch-broker microbenchmark: pure enqueue -> claim -> ack_done
   filesystem-broker cycles/sec (no training — the queue's scheduling
   overhead per cell, trend-gated), plus the same 8-cell gowalla grid
@@ -69,8 +64,8 @@ from repro.eval import (aggregate_metrics, compute_user_metrics,
                         evaluate_scores, rank_items)
 
 from harness import (BENCH_DTYPE, BENCH_MODEL_CONFIG, BENCH_TRAIN_CONFIG,
-                     KS, check_hotpath_trend, fmt, format_table,
-                     get_dataset, record_hotpath_extra, run_model,
+                     KS, check_hotpath_trend, get_dataset,
+                     record_hotpath_extra, run_model,
                      write_hotpath_artifact)
 
 #: minimum sampler speedup the hot-path PR claims (acceptance criterion)
@@ -686,138 +681,6 @@ def test_fused_kernel_microbenchmark():
             f"the {FUSED_NOISE_TOLERANCE}x noise allowance")
 
 
-#: amortized-propagation window for the scheduler microbenchmark: one
-#: live propagate() per 8 batches (staleness-vs-quality for this K is
-#: recorded by test_staleness_quality_table below)
-STALE_K = 8
-
-def _lightgcn_train_seconds(train_config):
-    """One fresh timing-only LightGCN/gowalla fit (no artifact record)."""
-    from repro.autograd import default_dtype
-    from repro.models import build_model
-    from repro.train import fit_model
-    data = get_dataset("gowalla")
-    with default_dtype(BENCH_DTYPE):
-        model = build_model("lightgcn", data, BENCH_MODEL_CONFIG, seed=0)
-        return fit_model(model, data, train_config, seed=0).train_seconds
-
-
-#: minimum speedup of the K-stale schedule over the exact per-batch
-#: propagation loop on the 60-epoch LightGCN/gowalla budget (acceptance
-#: criterion of the multicore-training PR; the propagate() forward +
-#: backward dominates the exact epoch, so skipping K-1 of every K
-#: re-propagations must buy well over this floor)
-MIN_STALE_SPEEDUP = 1.5
-
-
-def test_parallel_train_microbenchmark():
-    """The 60-epoch LightGCN/gowalla budget under the stale scheduler.
-
-    Two schedules of the same spec: the exact loop (the memoized
-    breakdown run) and the K-stale schedule.  The K-stale speedup over
-    exact is asserted against the ``MIN_STALE_SPEEDUP`` acceptance
-    floor, and the stale epochs/sec is the trend-gated floor
-    (``check_hotpath_trend``).
-    """
-    base = BENCH_TRAIN_CONFIG
-    stale_cfg = TrainConfig(
-        epochs=base.epochs, batch_size=base.batch_size,
-        eval_every=base.eval_every, autograd_backend=base.autograd_backend,
-        propagate_every=STALE_K)
-
-    exact = run_model("lightgcn", "gowalla")  # memoized breakdown run
-    stale = run_model("lightgcn", "gowalla", train_config=stale_cfg)
-
-    epochs = len(exact.fit.history)
-    exact_seconds = exact.fit.train_seconds
-    stale_seconds = stale.fit.train_seconds
-    if exact_seconds < stale_seconds * MIN_STALE_SPEEDUP:
-        # the memoized exact run and the stale run were measured minutes
-        # apart in a full bench session; on a shared box that gap alone
-        # can cost the margin.  Re-measure the pair once, back to back,
-        # and keep the cleaner (faster-exact / faster-stale) readings.
-        exact_seconds = min(exact_seconds,
-                            _lightgcn_train_seconds(BENCH_TRAIN_CONFIG))
-        stale_seconds = min(stale_seconds,
-                            _lightgcn_train_seconds(stale_cfg))
-    exact_eps = epochs / exact_seconds
-    stale_eps = epochs / stale_seconds
-    stale_speedup = exact_seconds / stale_seconds
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    record_hotpath_extra("parallel_train_microbenchmark", {
-        "model": "lightgcn",
-        "dataset": "gowalla",
-        "epochs": epochs,
-        "propagate_every": STALE_K,
-        "cores": cores,
-        "exact_train_seconds": exact_seconds,
-        "stale_train_seconds": stale_seconds,
-        "exact_epochs_per_second": exact_eps,
-        "stale_epochs_per_second": stale_eps,
-        "speedup_stale_vs_exact": stale_speedup,
-        "exact_spmm_seconds": exact.fit.spmm_seconds,
-        "stale_spmm_seconds": stale.fit.spmm_seconds,
-    })
-    print(f"\nscheduler K={STALE_K}: exact {exact_seconds:.3f}s, "
-          f"stale {stale_seconds:.3f}s ({stale_speedup:.2f}x) "
-          f"({cores} core(s))")
-    assert stale_speedup >= MIN_STALE_SPEEDUP, (
-        f"K={STALE_K} stale schedule only {stale_speedup:.2f}x the exact "
-        f"loop, below the {MIN_STALE_SPEEDUP}x acceptance bar")
-
-
-#: models whose staleness-vs-quality delta the artifact records (the
-#: three amortization-eligible families the acceptance test certifies)
-STALE_QUALITY_MODELS = ("lightgcn", "sgl", "ngcf")
-
-
-def test_staleness_quality_table():
-    """Staleness-vs-quality: best metrics at K=1 vs K=8, per model.
-
-    ``propagate_every`` trades propagation freshness for wall-clock; the
-    trade is spec-visible, and this table makes it *measured*: for each
-    eligible model family the artifact records the 60-epoch best metrics
-    under the exact schedule and under K=8, plus the relative recall@20
-    delta.  No quality floor is asserted — the point of the artifact row
-    is that the delta is known, not hidden — but the stale run must
-    still be a trained model, not noise (recall@20 > 0).
-    """
-    base = BENCH_TRAIN_CONFIG
-    stale_cfg = TrainConfig(
-        epochs=base.epochs, batch_size=base.batch_size,
-        eval_every=base.eval_every, autograd_backend=base.autograd_backend,
-        propagate_every=STALE_K)
-    table = {}
-    rows = []
-    for model_name in STALE_QUALITY_MODELS:
-        exact = run_model(model_name, "gowalla")
-        stale = run_model(model_name, "gowalla", train_config=stale_cfg)
-        entry = {"propagate_every": STALE_K}
-        for key in sorted(exact.metrics):
-            entry[f"{key}_exact"] = exact.metrics[key]
-            entry[f"{key}_stale"] = stale.metrics[key]
-        anchor = exact.metrics.get("recall@20", 0.0)
-        delta = ((stale.metrics.get("recall@20", 0.0) - anchor)
-                 / anchor if anchor else 0.0)
-        entry["recall@20_relative_delta"] = delta
-        entry["train_speedup_stale_vs_exact"] = (
-            exact.fit.train_seconds / max(stale.fit.train_seconds, 1e-12))
-        table[model_name] = entry
-        rows.append((model_name, fmt(exact.metrics.get("recall@20", 0.0)),
-                     fmt(stale.metrics.get("recall@20", 0.0)),
-                     f"{delta:+.2%}",
-                     f"{entry['train_speedup_stale_vs_exact']:.2f}x"))
-        assert stale.metrics.get("recall@20", 0.0) > 0, model_name
-    record_hotpath_extra("staleness_quality", table)
-    print("\n" + format_table(
-        ("model", "recall@20 K=1", f"recall@20 K={STALE_K}", "delta",
-         "speedup"),
-        rows, title=f"staleness vs quality (gowalla, "
-                    f"{base.epochs} epochs)"))
-
-
 #: maximum fractional slowdown a fully traced fit may cost over the
 #: identical untraced fit (acceptance criterion of the observability
 #: PR; the disabled path is additionally gated at the trend tolerance
@@ -903,8 +766,6 @@ if __name__ == "__main__":
     test_dispatch_microbenchmark(pathlib.Path(tempfile.mkdtemp()))
     test_training_hotpath_breakdown()
     test_fused_kernel_microbenchmark()
-    test_parallel_train_microbenchmark()
-    test_staleness_quality_table()
     test_observability_overhead_microbenchmark()
     test_bench_trend_no_regression()
     print(f"wrote {write_hotpath_artifact()}")

@@ -343,11 +343,11 @@ def run_dir_is_complete(run_dir: str, spec=None) -> bool:
 def _strip_wall_time(event: Dict) -> Dict:
     return {k: v for k, v in event.items() if k != "wall_time"}
 
-#: train_config keys that choose *how* a fit is observed or scheduled,
-#: never *what* it computes: ``trace`` only records spans (tested
-#: observationally inert), and ``heartbeat_seconds`` only rate-limits
-#: the status.json liveness stamp.  ``propagate_every`` DOES change the
-#: math and stays in the hash.
+#: train_config keys that choose *how* a fit is observed, never *what*
+#: it computes: ``trace`` only records spans (tested observationally
+#: inert), and ``heartbeat_seconds`` only rate-limits the status.json
+#: liveness stamp.  Every other key changes the math and stays in the
+#: hash.
 _SCHEDULE_ONLY_TRAIN_KEYS = ("trace", "heartbeat_seconds")
 
 

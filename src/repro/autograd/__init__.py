@@ -30,8 +30,7 @@ from .primitives import (primitive, defvjp, defimpl, get_primitive,
                          primitive_profiling_enabled)
 from .tensor import (Tensor, as_tensor, cast_like, concat, stack, where,
                      zeros, ones, no_grad, is_grad_enabled, unbroadcast,
-                     default_dtype, get_default_dtype, set_default_dtype,
-                     scatter_rows)
+                     default_dtype, get_default_dtype, set_default_dtype)
 from .module import Module, Parameter, Linear, MLP, Embedding, Sequential
 from .optim import SGD, Adam, AdamW, ExponentialLR, Optimizer
 from .sparse import (spmm, weighted_spmm, coo_from_scipy,
@@ -61,7 +60,7 @@ __all__ = [
     "clear_sparse_caches", "enable_spmm_profiling", "reset_spmm_profile",
     "spmm_profile", "SPMM_PRIMITIVES",
     "fused_bpr_loss", "fused_bpr_scores", "light_propagate",
-    "mixhop_encode", "edge_scorer", "scatter_rows",
+    "mixhop_encode", "edge_scorer",
     "gradcheck", "numerical_gradient",
     "functional", "init",
 ]

@@ -668,12 +668,10 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, num_rows: int
                  ) -> np.ndarray:
     """Dense segment-sum scatter: rows of ``g`` summed into ``idx`` slots.
 
-    This is the ``take_rows`` VJP as a public export — the exact
-    (dtype-preserving, C-kernel) scatter the tape itself uses to push a
-    row-batch gradient back into an embedding table.  External gradient
-    appliers (the amortized training schedule applying per-row grads
-    computed on frozen tables) route through it so their updates are
-    bit-identical to a ``backward()`` through ``take_rows``.
+    The ``take_rows`` VJP: the dtype-preserving, C-kernel scatter that
+    pushes a row-batch gradient back into an embedding table.  The fused
+    kernels (:mod:`repro.autograd.fused`) reuse it for their per-edge
+    node gradients, so they accumulate exactly like the tape does.
     """
     n, dim = g.shape
     dtype = g.dtype

@@ -90,8 +90,6 @@ class Recommender(Module):
         self._inference_caching = False
         self._inference_embeddings: Optional[Tuple[np.ndarray,
                                                    np.ndarray]] = None
-        self._propagation_cache: Optional[Tuple[np.ndarray,
-                                                np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # embedding production
@@ -133,73 +131,6 @@ class Recommender(Module):
         if self._inference_caching:
             self._inference_embeddings = pair
         return pair
-
-    # ------------------------------------------------------------------ #
-    # training-time propagation cache (the amortized schedule)
-    # ------------------------------------------------------------------ #
-    def supports_amortized_propagation(self) -> bool:
-        """Whether the stale-propagation training schedule applies.
-
-        The amortized schedule (:class:`repro.train.Trainer` with
-        ``TrainConfig.propagate_every`` > 1) trains stale batches
-        against frozen ``propagate()`` tables, which is only
-        meaningful when scores *are* that embedding dot product —
-        the same eligibility rule ``serving_embeddings`` uses.  Models
-        overriding ``score_users`` with a custom scorer (ncf, autorec,
-        biasmf) return False and must train with ``propagate_every=1``.
-        """
-        return type(self).score_users is Recommender.score_users
-
-    def refresh_propagation(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Recompute and cache the propagated ``(user, item)`` tables.
-
-        The trainer calls this at every refresh batch of the amortized
-        schedule (``TrainConfig.propagate_every`` > 1); the returned
-        arrays are **copies**, frozen snapshots of the current
-        parameters — later optimizer steps never leak into them, which
-        is what makes a stale window's gradients independent of the
-        updates applied inside it.  Unlike ``inference_cache`` — whose
-        cache dies with its context so *evaluation* always sees live
-        parameters — this cache lives until the next refresh or
-        :meth:`invalidate_propagation` (structural resampling).
-        """
-        with no_grad():
-            users, items = self.propagate()
-        self._propagation_cache = (users.data.copy(), items.data.copy())
-        return self._propagation_cache
-
-    def propagation_cache(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The frozen tables from the last refresh (None = invalidated)."""
-        return self._propagation_cache
-
-    def amortized_ego_columns(self, final_dim: int) -> slice:
-        """Columns of ``propagate()`` output scattered back onto ego tables.
-
-        The stale schedule treats the frozen tables as *ego + constant
-        propagation offset*, so a stale gradient flows back through an
-        identity scatter — valid only for columns whose dependence on
-        the ego tables really is identity-rooted.  When the propagated
-        width equals the ego width (LightGCN-style mean pooling) that is
-        every column; models that concatenate layers (NGCF) override
-        this to name their raw layer-0 block.
-        """
-        dim = self.user_emb.weight.data.shape[1]
-        if final_dim == dim:
-            return slice(0, dim)
-        raise ValueError(
-            f"model {self.name!r} propagates {final_dim}-wide tables over "
-            f"{dim}-wide ego embeddings; override amortized_ego_columns "
-            "to name the identity-rooted block (or train it with "
-            "propagate_every=1)")
-
-    def invalidate_propagation(self) -> None:
-        """Drop the stale tables; the next window must re-propagate.
-
-        Models that resample structure in ``on_epoch_start`` (SGL / NCL
-        / DGCL views, EM steps) call this so a cache computed on the old
-        structure is never trained against.
-        """
-        self._propagation_cache = None
 
     def score_users(self, user_ids: Optional[np.ndarray] = None
                     ) -> np.ndarray:

@@ -37,7 +37,6 @@ class DGCL(GraphRecommender):
         self.on_epoch_start(0, self.aug_rng)
 
     def on_epoch_start(self, epoch: int, rng: np.random.Generator) -> None:
-        self.invalidate_propagation()  # stale tables predate the new views
         views = []
         for _ in range(2):
             dropped = edge_dropout(self.dataset.train, self.config.dropout,

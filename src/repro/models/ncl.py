@@ -80,7 +80,6 @@ class NCL(GraphRecommender):
         return layers
 
     def on_epoch_start(self, epoch: int, rng: np.random.Generator) -> None:
-        self.invalidate_propagation()  # resample ⇒ never train on old tables
         if epoch % self.em_interval not in (0, 1) \
                 and self._user_protos is not None:
             return

@@ -40,9 +40,3 @@ class NGCF(GraphRecommender):
             outputs.append(current)
         final = concat(outputs, axis=1)
         return self.split_nodes(final)
-
-    def amortized_ego_columns(self, final_dim: int) -> slice:
-        # the layer concat starts with the raw ego block — the only
-        # identity-rooted columns, so the only ones the stale schedule
-        # may scatter gradients through (layer weights stay exact-only)
-        return slice(0, self.config.embedding_dim)

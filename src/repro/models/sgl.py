@@ -31,7 +31,6 @@ class SGL(GraphRecommender):
 
     def on_epoch_start(self, epoch: int, rng: np.random.Generator) -> None:
         """Resample the two corrupted structural views."""
-        self.invalidate_propagation()  # stale tables predate the new views
         corrupt = edge_dropout if self.augmentation == "edge" else node_dropout
         views = []
         for _ in range(2):

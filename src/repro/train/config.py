@@ -78,38 +78,20 @@ class TrainConfig:
                                               # gradients differ from the
                                               # composed graph by float
                                               # accumulation order
-    propagate_every: int = 1                  # K, the amortized-propagation
-                                              # period (repro.train.trainer):
-                                              # 1 (default) = today's exact
-                                              # loop, bit-identical; K>1
-                                              # re-propagates on every K-th
-                                              # batch and trains the K-1
-                                              # batches in between against
-                                              # the frozen propagated tables
-                                              # (stale-embedding schedule).
-                                              # Spec-visible on purpose: the
-                                              # staleness changes gradients;
-                                              # its quality delta is measured
-                                              # per model in BENCH_hotpath
-                                              # (staleness_quality extras).
-                                              # Requires the inherited
-                                              # embedding-dot score_users
-                                              # (GNN zoo); custom-scorer
-                                              # models raise
     early_stop_patience: Optional[int] = None  # evals w/o improvement
     early_stop_metric: str = "recall@20"
     verbose: bool = False
     trace: bool = False                       # record repro.obs spans for
                                               # this fit (epochs, batches,
-                                              # refreshes, stale windows)
-                                              # and, via the experiment
-                                              # layer, export a Chrome-
-                                              # trace trace.json into the
-                                              # run dir.  Observability
-                                              # only: never changes the
-                                              # math, and run_dir
-                                              # fingerprints normalize it
-                                              # out.  Off by default; the
+                                              # evals) and, via the
+                                              # experiment layer, export a
+                                              # Chrome-trace trace.json
+                                              # into the run dir.
+                                              # Observability only: never
+                                              # changes the math, and
+                                              # run_dir fingerprints
+                                              # normalize it out.  Off by
+                                              # default; the
                                               # disabled path is a no-op
                                               # fast path asserted by the
                                               # hot-path bench

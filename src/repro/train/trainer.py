@@ -1,34 +1,10 @@
 """The shared training loop.
 
-All 18 models train through this one loop so comparisons are apples-to-
-apples: same sampler, same optimizer family, same evaluation cadence, same
-early stopping.  The loop also records per-epoch history (loss, metrics,
-cumulative wall-clock), which directly feeds the paper's convergence figure
-(Fig 4) and cost table (Table VI).
-
-The stale-window schedule (``TrainConfig.propagate_every = K``)
-----------------------------------------------------------------
-Every mini-batch of the classic loop recomputes the full multi-layer
-``propagate()`` forward *and* backward.  With ``K > 1`` each epoch is
-cut into windows of ``K`` batches instead:
-
-* the **refresh batch** (first of the window) trains exactly like the
-  classic loop — full ``model.loss`` through a live ``propagate()``, SSL
-  terms and all — and then freezes a snapshot of the propagated tables
-  (:meth:`Recommender.refresh_propagation`);
-* the following ``K-1`` **stale batches** train a BPR + L2 objective
-  directly on the frozen tables (:func:`stale_batch_grads`), and the
-  gradient is scattered back onto the ego embedding tables through the
-  tape's own ``take_rows`` scatter (:func:`apply_stale_gradients`), as if
-  the final embeddings were the ego embeddings plus a constant
-  propagation offset.  Non-embedding parameters (e.g. NGCF's layer
-  weights) and SSL terms update only on refresh batches.
-
-``K = 1`` (the default) runs the classic loop unchanged, bit-identical to
-every previous release.  The schedule requires the inherited
-embedding-dot ``score_users`` (see
-:meth:`Recommender.supports_amortized_propagation`); custom-scorer models
-(ncf, autorec, biasmf) reject it loudly.
+Every registered model trains through this one loop so comparisons are
+apples-to-apples: same sampler, same optimizer family, same evaluation
+cadence, same early stopping.  The loop also records per-epoch history
+(loss, metrics, cumulative wall-clock), which directly feeds the paper's
+convergence figure (Fig 4) and cost table (Table VI).
 """
 
 from __future__ import annotations
@@ -36,15 +12,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .config import TrainConfig
-from ..autograd import (Adam, ExponentialLR, Tensor, fused_bpr_loss,
-                        fused_kernels_enabled, no_grad, primitive_profile,
-                        primitive_profiling_enabled, scatter_rows,
-                        spmm_profile, use_backend, functional as F)
+from ..autograd import (Adam, ExponentialLR, primitive_profile,
+                        primitive_profiling_enabled, spmm_profile,
+                        use_backend)
 from ..data import BPRSampler, InteractionDataset
 from ..eval import evaluate_model
 from ..obs import (console, counter, counter_event, gauge, histogram, span,
@@ -120,12 +95,6 @@ class Trainer:
     When ``TrainConfig.snapshot_path`` is set, the final parameters are
     persisted as a serving snapshot (:mod:`repro.serve`) after the last
     epoch, ready for ``RecommenderService.from_snapshot``.
-
-    ``TrainConfig.propagate_every`` > 1 switches each epoch onto the
-    amortized stale-window schedule (:meth:`_amortized_epoch`), which
-    requires the model's inherited embedding-dot ``score_users``
-    (``supports_amortized_propagation``); the default
-    ``propagate_every=1`` runs the classic loop unchanged.
     """
 
     def __init__(self, model, dataset: InteractionDataset,
@@ -139,29 +108,12 @@ class Trainer:
         # rows and status.json heartbeats.  A plain constructor argument
         # (not a TrainConfig field) so configs stay JSON-round-trippable
         self.epoch_hook = epoch_hook
-        self._validate_schedule(model, self.config)
         self.rng = np.random.default_rng(seed)
         self.sampler = BPRSampler(dataset.train, self.rng)
         self.optimizer = Adam(model.parameters(),
                               lr=self.config.learning_rate)
         self.scheduler = ExponentialLR(self.optimizer,
                                        gamma=self.config.lr_decay)
-
-    @staticmethod
-    def _validate_schedule(model, cfg: TrainConfig) -> None:
-        """Reject inconsistent scheduler knobs up front, loudly."""
-        if cfg.propagate_every < 1:
-            raise ValueError(
-                f"propagate_every must be >= 1, got {cfg.propagate_every}")
-        if cfg.propagate_every > 1:
-            supports = getattr(model, "supports_amortized_propagation",
-                               None)
-            if not (supports and supports()):
-                raise ValueError(
-                    f"model {getattr(model, 'name', type(model).__name__)!r}"
-                    " does not support amortized propagation "
-                    "(custom score_users): train it with "
-                    "propagate_every=1")
 
     # ------------------------------------------------------------------ #
     def fit(self) -> FitResult:
@@ -214,38 +166,22 @@ class Trainer:
         best_metrics: Dict[str, float] = {}
         best_epoch = -1
         stale_evals = 0
-        propagate_every = max(1, cfg.propagate_every)
-        self._ego_columns = slice(None)
-        if propagate_every > 1:
-            # probe the propagated-table width once: it may exceed the
-            # ego width (layer-concat models), and the model then names
-            # the identity-rooted block the stale scatter may use
-            with no_grad():
-                users_t, _ = self.model.propagate()
-            self._ego_columns = self.model.amortized_ego_columns(
-                users_t.data.shape[1])
         for epoch in range(1, cfg.epochs + 1):
             epoch_started = timer.total
             with span("train.epoch", epoch=epoch), timer:
                 if hasattr(self.model, "on_epoch_start"):
                     self.model.on_epoch_start(epoch, self.rng)
-                if propagate_every == 1:
-                    # the classic exact loop, operation-for-operation the
-                    # pre-scheduler trainer (bit-identical by construction)
-                    epoch_loss = 0.0
-                    for _ in range(num_batches):
-                        with span("train.batch"):
-                            with sampler_timer:
-                                users, pos, neg = self.sampler.sample(
-                                    cfg.batch_size)
-                            loss = self.model.loss(users, pos, neg)
-                            self.optimizer.zero_grad()
-                            loss.backward()
-                            self.optimizer.step()
-                            epoch_loss += loss.item()
-                else:
-                    epoch_loss = self._amortized_epoch(
-                        num_batches, propagate_every, sampler_timer)
+                epoch_loss = 0.0
+                for _ in range(num_batches):
+                    with span("train.batch"):
+                        with sampler_timer:
+                            users, pos, neg = self.sampler.sample(
+                                cfg.batch_size)
+                        loss = self.model.loss(users, pos, neg)
+                        self.optimizer.zero_grad()
+                        loss.backward()
+                        self.optimizer.step()
+                        epoch_loss += loss.item()
                 self.scheduler.step()
             epoch_loss /= num_batches
 
@@ -333,109 +269,6 @@ class Trainer:
                                        - spmm_seconds_at_start),
                          eval_seconds=eval_timer.total,
                          primitive_seconds=primitive_seconds)
-
-    def _amortized_epoch(self, num_batches: int, propagate_every: int,
-                         sampler_timer: Timer) -> float:
-        """One epoch of the stale-window schedule.
-
-        Every window: one exact batch (live ``model.loss``), a frozen
-        table refresh, then up to ``propagate_every - 1`` stale batches,
-        each trained by :func:`stale_batch_grads` on the frozen tables
-        and applied by :func:`apply_stale_gradients` in sampling order.
-        """
-        model, cfg = self.model, self.config
-        reg_weight = model.config.reg_weight
-        epoch_loss = 0.0
-        batch = 0
-        while batch < num_batches:
-            with span("train.batch", exact=True):
-                with sampler_timer:
-                    users, pos, neg = self.sampler.sample(cfg.batch_size)
-                loss = model.loss(users, pos, neg)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_loss += loss.item()
-            batch += 1
-            window = min(propagate_every - 1, num_batches - batch)
-            if window < 1:
-                continue
-            with span("train.refresh", batch=batch):
-                stale_users, stale_items = model.refresh_propagation()
-            with span("train.window", size=window):
-                for _ in range(window):
-                    with sampler_timer:
-                        users, pos, neg = self.sampler.sample(
-                            cfg.batch_size)
-                    loss_value, gu, gp, gn = stale_batch_grads(
-                        stale_users[users], stale_items[pos],
-                        stale_items[neg], reg_weight)
-                    apply_stale_gradients(model, self.optimizer,
-                                          users, pos, neg, gu, gp, gn,
-                                          ego_columns=self._ego_columns)
-                    epoch_loss += loss_value
-            batch += window
-        return epoch_loss
-
-
-def stale_batch_grads(user_rows: np.ndarray, pos_rows: np.ndarray,
-                      neg_rows: np.ndarray, reg_weight: float
-                      ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and per-row gradients of one stale batch.
-
-    ``user_rows`` / ``pos_rows`` / ``neg_rows`` are rows gathered from
-    the *frozen* propagated tables.  The objective mirrors the exact
-    path's BPR + batch-wise L2 (same fused-kernel gating), computed
-    entirely on the stale rows — by construction it never reads live
-    parameters.  Returns ``(loss, d/d_user_rows, d/d_pos_rows,
-    d/d_neg_rows)``; the caller scatters them onto the ego tables.
-    """
-    u = Tensor(user_rows, requires_grad=True)
-    vp = Tensor(pos_rows, requires_grad=True)
-    vn = Tensor(neg_rows, requires_grad=True)
-    if fused_kernels_enabled("fused_bpr_loss"):
-        loss = fused_bpr_loss(u, vp, vn)
-    else:
-        pos_scores = (u * vp).sum(axis=1)
-        neg_scores = (u * vn).sum(axis=1)
-        loss = F.bpr_loss(pos_scores, neg_scores)
-    if reg_weight:
-        total = (u * u).sum() + (vp * vp).sum() + (vn * vn).sum()
-        loss = loss + total * (reg_weight / max(1, user_rows.shape[0]))
-    loss.backward()
-    return float(loss.item()), u.grad, vp.grad, vn.grad
-
-
-def apply_stale_gradients(model, optimizer, users: np.ndarray,
-                          pos: np.ndarray, neg: np.ndarray,
-                          gu: np.ndarray, gp: np.ndarray, gn: np.ndarray,
-                          ego_columns: slice = slice(None)) -> None:
-    """Scatter per-row stale gradients onto the ego tables and step.
-
-    ``ego_columns`` restricts the scatter to the identity-rooted block
-    of the propagated width (:meth:`Recommender.amortized_ego_columns`;
-    the full width for LightGCN-style models).  Uses the tape's own
-    dtype-preserving segment-sum scatter
-    (:func:`repro.autograd.scatter_rows`) — one scatter per ``take_rows``
-    occurrence, accumulated exactly like ``backward()`` would.
-    """
-    uw = model.user_emb.weight
-    iw = model.item_emb.weight
-    users = np.asarray(users, dtype=np.int64)
-    pos = np.asarray(pos, dtype=np.int64)
-    neg = np.asarray(neg, dtype=np.int64)
-    optimizer.zero_grad()
-    uw.grad = scatter_rows(
-        np.ascontiguousarray(gu[:, ego_columns], dtype=uw.data.dtype),
-        users, uw.data.shape[0])
-    item_grad = scatter_rows(
-        np.ascontiguousarray(gp[:, ego_columns], dtype=iw.data.dtype),
-        pos, iw.data.shape[0])
-    item_grad += scatter_rows(
-        np.ascontiguousarray(gn[:, ego_columns], dtype=iw.data.dtype),
-        neg, iw.data.shape[0])
-    iw.grad = item_grad
-    optimizer.step()
 
 
 def fit_model(model, dataset: InteractionDataset,

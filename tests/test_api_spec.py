@@ -6,11 +6,14 @@ fail with a message naming the bad field.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.api import ArtifactSpec, EvalSpec, ExperimentSpec
+from repro.api.rundir import _SCHEDULE_ONLY_TRAIN_KEYS, _schedule_free_spec
 from repro.models import available_models
+from repro.train import TrainConfig, config_from_dict, config_to_dict
 
 ALL_MODELS = available_models()
 
@@ -59,6 +62,55 @@ class TestRoundTrip:
         assert spec.probes == {"user_groups": {}, "item_groups": {}}
 
 
+#: one non-default value per TrainConfig field
+TRAIN_FIELD_VALUES = {
+    "epochs": 3,
+    "batch_size": 64,
+    "batches_per_epoch": 5,
+    "learning_rate": 5e-3,
+    "lr_decay": 0.9,
+    "eval_every": 2,
+    "eval_ks": (10,),
+    "eval_metrics": ("ndcg", "mrr"),
+    "eval_chunk_size": 16,
+    "snapshot_path": "snap.npz",
+    "autograd_backend": "fused",
+    "early_stop_patience": 2,
+    "early_stop_metric": "ndcg@20",
+    "verbose": True,
+    "trace": True,
+    "heartbeat_seconds": 2.5,
+    "fail_after_epoch": 1,
+}
+
+
+class TestTrainConfigFields:
+    def test_table_covers_every_field(self):
+        defaults = TrainConfig()
+        assert sorted(TRAIN_FIELD_VALUES) == \
+            sorted(f.name for f in fields(TrainConfig))
+        for name, value in TRAIN_FIELD_VALUES.items():
+            assert getattr(defaults, name) != value, name
+
+    @pytest.mark.parametrize("name", sorted(TRAIN_FIELD_VALUES))
+    def test_field_round_trips(self, name):
+        """Config dict, spec dict and JSON round trips are lossless, and
+        only the observe-only keys leave the fingerprinted spec echo."""
+        value = TRAIN_FIELD_VALUES[name]
+        cfg = TrainConfig(**{name: value})
+        clone = config_from_dict(
+            TrainConfig, json.loads(json.dumps(config_to_dict(cfg))))
+        assert clone == cfg
+        spec = ExperimentSpec(model="lightgcn", dataset="tiny",
+                              train_config={name: value})
+        payload = json.loads(json.dumps(spec.to_dict()))
+        restored = ExperimentSpec.from_dict(payload)
+        assert restored == spec
+        assert getattr(restored.resolved_train_config(), name) == value
+        hashed = _schedule_free_spec(payload)["train_config"]
+        assert (name in hashed) == (name not in _SCHEDULE_ONLY_TRAIN_KEYS)
+
+
 class TestStrictParsing:
     def test_unknown_top_level_key_names_field(self):
         with pytest.raises(ValueError, match="optimizer"):
@@ -86,9 +138,11 @@ class TestStrictParsing:
 
     @pytest.mark.parametrize("key, value", [
         ("epoch", 3),
-        # the removed worker-pool knobs fail like any other unknown key
+        # removed knobs (the worker pool, the K-stale schedule) fail
+        # like any other unknown key
         ("train_workers", 2),
         ("async_updates", True),
+        ("propagate_every", 3),
     ])
     def test_unknown_train_config_key_names_field(self, key, value):
         with pytest.raises(ValueError, match=f"{key}.*train_config"):

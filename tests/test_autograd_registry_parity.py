@@ -58,24 +58,6 @@ class TestGoldenFingerprints:
             GOLDEN_FINGERPRINTS[model]
 
 
-#: the same lightgcn recipe under the amortized schedule
-#: (``propagate_every=3``): pins the sampler draw order, the per-batch
-#: gradient application order and the ``scatter_rows`` path of the
-#: K-stale loop
-GOLDEN_STALE_FINGERPRINT = ("1e05a69ef7957295467b5f975d8465b8"
-                            "1cffccf76b734569b8e39b4da3da2de1")
-
-
-def test_stale_schedule_is_bit_identical_to_golden(tmp_path):
-    spec = ExperimentSpec(
-        model="lightgcn", dataset="gowalla", seed=0,
-        model_config={"embedding_dim": 16, "num_layers": 2},
-        train_config={"epochs": 5, "batch_size": 256, "eval_every": 5,
-                      "propagate_every": 3})
-    result = Experiment(spec).run(run_dir=str(tmp_path / "lightgcn"))
-    assert run_dir_fingerprint(result.run_dir) == GOLDEN_STALE_FINGERPRINT
-
-
 def _triplet(seed, n=32, d=8):
     rng = np.random.default_rng(seed)
     return tuple(Tensor(rng.normal(size=(n, d)), requires_grad=True)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd import (Tensor, concat, stack, where, gradcheck,
                             no_grad, unbroadcast)
+from repro.autograd.tensor import scatter_rows
 
 
 def t(shape, seed=0, requires_grad=True):
@@ -385,3 +386,38 @@ class TestGradOwnership:
         node._accumulate(np.ones((3, 2), dtype=np.float64))
         assert node.grad.dtype == np.float32
         assert np.array_equal(node.grad, np.full((3, 2), 2.0))
+
+
+class TestScatterRows:
+    """The ``take_rows`` VJP kernel, also reused by the fused kernels."""
+
+    def test_repeated_rows_accumulate(self):
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(6, 4))
+        idx = np.array([0, 3, 3, 7, 0, 3])
+        want = np.zeros((9, 4))
+        np.add.at(want, idx, g)
+        np.testing.assert_allclose(scatter_rows(g, idx, 9), want,
+                                   rtol=1e-12)
+
+    def test_untouched_rows_stay_zero(self):
+        g = np.ones((2, 3))
+        out = scatter_rows(g, np.array([2, 5]), 8)
+        assert np.flatnonzero(out.any(axis=1)).tolist() == [2, 5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_preserved(self, dtype):
+        g = np.arange(6, dtype=dtype).reshape(3, 2)
+        out = scatter_rows(g, np.array([1, 1, 0]), 4)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out[:2], [[4, 5], [2, 4]])
+
+    def test_scipy_fallback_matches_kernel(self, monkeypatch):
+        import repro.autograd.tensor as tensor_mod
+        rng = np.random.default_rng(1)
+        g = rng.normal(size=(5, 3))
+        idx = np.array([4, 0, 4, 2, 2])
+        kernel = scatter_rows(g, idx, 6)
+        monkeypatch.setattr(tensor_mod, "_sptools", None)
+        fallback = np.asarray(scatter_rows(g, idx, 6))
+        np.testing.assert_allclose(fallback, kernel, rtol=1e-12)

@@ -80,15 +80,6 @@ def test_sweep(capsys, tmp_path):
     assert "nothing re-run" in out
 
 
-def test_amortized_training(capsys):
-    exact, stale = _load_example("amortized_training").main(
-        dataset="tiny", epochs=2, batch_size=128, propagate_every=2)
-    out = capsys.readouterr().out
-    assert "stale (K=2)" in out
-    assert "epochs/sec" in out and "recall@20" in out
-    assert len(exact.history) == len(stale.history) == 2
-
-
 def test_denoising_case_study(capsys):
     _load_example("denoising_case_study").main(dataset_name="tiny",
                                                epochs=2)

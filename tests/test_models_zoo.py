@@ -91,3 +91,19 @@ class TestEveryModel:
         b = build_model(name, zoo_dataset, model_config, seed=5)
         np.testing.assert_allclose(a.user_emb.weight.data,
                                    b.user_emb.weight.data)
+
+    def test_deterministic_fit(self, name, zoo_dataset, model_config):
+        """Same seed -> bit-identical parameters and loss history."""
+        fits = []
+        for _ in range(2):
+            model = build_model(name, zoo_dataset, model_config, seed=0)
+            cfg = TrainConfig(epochs=2, batch_size=128, eval_every=2)
+            result = fit_model(model, zoo_dataset, cfg, seed=0)
+            fits.append(([p.data for p in model.parameters()],
+                         [r.loss for r in result.history]))
+        (params0, losses0), (params1, losses1) = fits
+        assert all(np.isfinite(p).all() for p in params0)
+        assert len(params0) == len(params1)
+        for p0, p1 in zip(params0, params1):
+            np.testing.assert_array_equal(p0, p1)
+        assert losses0 == losses1

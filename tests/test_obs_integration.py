@@ -2,9 +2,9 @@
 
 Acceptance contract of the observability PR:
 
-* a 2-epoch traced run under the stale-window schedule writes a
-  schema-valid Chrome-format ``trace.json`` carrying the trainer's
-  ``train.refresh`` / ``train.window`` spans, each recorded once;
+* a 2-epoch traced run writes a schema-valid Chrome-format
+  ``trace.json`` with one ``train.epoch`` span per epoch, all from the
+  one training process, each span recorded once;
 * sweep traces compose the same way: sequential cells' spans land in
   the parent buffer directly, parallel cells ship theirs through the
   result payload and are absorbed only at collection — either way each
@@ -63,20 +63,15 @@ def _assert_span_ids_unique(payload):
 
 
 # --------------------------------------------------------------------- #
-# trainer spans of the stale-window schedule
+# trainer spans
 # --------------------------------------------------------------------- #
 
-class TestStaleScheduleTrace:
-    def test_traced_stale_run_records_window_spans(self, tmp_path):
-        """Every window of a K=2 run shows up as refresh + window spans
-        of the one training process."""
+class TestTrainerTrace:
+    def test_traced_run_records_epoch_spans(self, tmp_path):
+        """One epoch span per epoch, one process, each span once."""
         run_dir = str(tmp_path / "run")
-        Experiment(_spec(trace=True, propagate_every=2)).run(
-            run_dir=run_dir)
+        Experiment(_spec(trace=True)).run(run_dir=run_dir)
         payload = _load_trace(os.path.join(run_dir, "trace.json"))
-        refreshes = _spans(payload, "train.refresh")
-        windows = _spans(payload, "train.window")
-        assert refreshes and len(refreshes) == len(windows)
         assert len(_spans(payload, "train.epoch")) == FAST["epochs"]
         assert len({e["pid"] for e in _spans(payload)}) == 1
         _assert_span_ids_unique(payload)

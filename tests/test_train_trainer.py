@@ -1,9 +1,12 @@
 """Tests for the shared training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.models import build_model
+from repro.obs import current_seq, events_since
 from repro.train import ModelConfig, TrainConfig, Trainer, fit_model
 
 
@@ -97,6 +100,35 @@ class TestTrainer:
         assert results[0].best_metrics == results[1].best_metrics
         assert [r.loss for r in results[0].history] == \
             [r.loss for r in results[1].history]
+
+
+class TestBatchLoop:
+    @pytest.mark.parametrize("batch_size, batches_per_epoch", [
+        (32, None), (100, None), (4096, None), (64, 3)])
+    def test_batches_tile_each_epoch(self, small_dataset,
+                                     fast_model_config, batch_size,
+                                     batches_per_epoch):
+        """Every epoch runs ``batches_per_epoch`` batches (default
+        ceil(|E| / batch)), each one traced batch span."""
+        epochs = 2
+        want = batches_per_epoch or max(1, math.ceil(
+            small_dataset.num_train_interactions / batch_size))
+        model = build_model("lightgcn", small_dataset, fast_model_config,
+                            seed=0)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
+                          batches_per_epoch=batches_per_epoch,
+                          eval_every=epochs, trace=True)
+        seq = current_seq()
+        Trainer(model, small_dataset, cfg, seed=0).fit()
+        spans = [e for e in events_since(seq) if e["ph"] == "X"]
+        epoch_spans = [e for e in spans if e["name"] == "train.epoch"]
+        batches = [e for e in spans if e["name"] == "train.batch"]
+        assert len(epoch_spans) == epochs
+        assert len(batches) == epochs * want
+        for epoch in epoch_spans:
+            start, end = epoch["ts"], epoch["ts"] + epoch["dur"]
+            inside = [b for b in batches if start <= b["ts"] <= end]
+            assert len(inside) == want
 
 
 class TestHotpathTimings:
