@@ -360,7 +360,7 @@ def run_cell(spec_dict: Dict, run_dir: Optional[str] = None,
 
     This is the unit of work a dispatch worker
     (:class:`repro.dispatch.DispatchWorker`, the engine behind
-    ``SweepRunner(workers=N)``) runs for an ``experiment`` task, so
+    ``SweepRunner(workers=N)``) runs for every queued cell, so
     everything that crosses the process boundary is plain data: the
     input is a spec dict (the strict :meth:`ExperimentSpec.from_dict`
     round trip is the wire format) and the output is the

@@ -23,8 +23,8 @@ Commands
                queue (``repro.dispatch``): claim cells under crash-safe
                leases, run them, repeat — on any machine sharing the dir
 ``sweep-status`` inspect a dispatched sweep's queue: depth per state,
-               live leases with owner and age, attempts, dead letters,
-               DAG readiness
+               live leases with owner and age, attempts, retry
+               backoffs, dead letters
 
 Examples::
 
@@ -284,14 +284,18 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
-    with open(args.spec) as handle:
-        payload = json.load(handle)
-    specs = payload if isinstance(payload, list) else [payload]
+    try:
+        with open(args.spec) as handle:
+            payload = json.load(handle)
+        specs = [ExperimentSpec.from_dict(entry) for entry in
+                 (payload if isinstance(payload, list) else [payload])]
+    except (TypeError, ValueError) as exc:     # malformed JSON or spec
+        print(f"{args.spec}: {exc}", file=sys.stderr)
+        return 2
     if not specs:
         print(f"{args.spec} holds an empty spec list; nothing to run",
               file=sys.stderr)
         return 2
-    specs = [ExperimentSpec.from_dict(entry) for entry in specs]
 
     axes = {key: getattr(args, f"sweep_{key}") or None
             for key in ("models", "datasets", "seeds")}
@@ -349,8 +353,9 @@ def _cmd_sweep_status(args) -> int:
     """Print one snapshot of a dispatched sweep's queue.
 
     Shows queue depth per state, every live lease (owner, host, age,
-    seconds since last renewal), pending cells' DAG readiness and
-    attempt counts, and dead-lettered cells with their final errors.
+    seconds since last renewal), pending cells waiting out a retry
+    backoff with their attempt counts, and dead-lettered cells with
+    their final errors.
     ``--json`` emits the raw :meth:`QueueBroker.status` payload instead.
     Exit code: 0 when nothing is dead-lettered, 1 otherwise — usable
     as a cheap health probe from cron or CI.
@@ -377,13 +382,11 @@ def _cmd_sweep_status(args) -> int:
                   f"{lease['age_seconds']:7.1f} "
                   f"{lease['renewed_seconds_ago']:10.1f} "
                   f"{lease['attempts'] + 1:8d}")
-    blocked = [cell for cell in status["pending"] if not cell["ready"]]
-    if blocked:
+    waiting = [cell for cell in status["pending"] if not cell["ready"]]
+    if waiting:
         print("\nwaiting:")
-        for cell in blocked:
-            why = (f"after {', '.join(cell['blocked_on'])}"
-                   if cell["blocked_on"] else "retry backoff")
-            print(f"  {cell['name']}: {why} "
+        for cell in waiting:
+            print(f"  {cell['name']}: retry backoff "
                   f"(attempt {cell['attempts'] + 1})")
     if status["dead"]:
         print("\ndead letters:")
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_status = sub.add_parser(
         "sweep-status",
         help="inspect a dispatched sweep's queue (leases, attempts, "
-             "dead letters, DAG readiness)")
+             "retry backoffs, dead letters)")
     p_status.add_argument("sweep_dir",
                           help="sweep directory holding the dispatch queue")
     p_status.add_argument("--json", action="store_true",

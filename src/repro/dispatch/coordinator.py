@@ -19,9 +19,6 @@ Typical shapes::
     ... workers claim cells over the shared filesystem ...
     wait_for_queue(sweep_dir)
     results = collect_results(sweep_dir)
-
-    # heterogeneous DAGs (train -> snapshot -> serving eval)
-    enqueue_pipeline(tasks, sweep_dir)
 """
 
 from __future__ import annotations
@@ -34,11 +31,9 @@ from typing import Dict, Iterable, List, Optional
 
 from ..api.experiment import RunResult
 from ..api.rundir import (STATUS_FAILED, read_status, write_failed_run_dir)
-from ..api.sweep import (SweepReport, aggregate_results, assign_cell_names,
-                         merge_sweep_manifest, read_sweep_manifest)
+from ..api.sweep import assign_cell_names, merge_sweep_manifest
 from ..api.spec import ExperimentSpec
 from ..obs import span
-from .dag import validate_pipeline
 from .queue import (DEAD, DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS,
                     DEFAULT_RETRY_BACKOFF, DONE, QueueBroker, make_task)
 
@@ -66,7 +61,6 @@ def enqueue_sweep(specs: Iterable, sweep_dir: str,
     with span("dispatch.enqueue_sweep", cells=len(cells)):
         for name, spec in cells:
             broker.enqueue(make_task(name, spec.to_dict(),
-                                     kind="experiment",
                                      max_attempts=max_attempts,
                                      retry_backoff=retry_backoff))
         merge_sweep_manifest(
@@ -78,37 +72,19 @@ def enqueue_sweep(specs: Iterable, sweep_dir: str,
     return [name for name, _ in cells]
 
 
-def enqueue_pipeline(tasks: List[Dict], sweep_dir: str) -> List[str]:
-    """Queue a validated task DAG (see :func:`repro.dispatch.make_task`).
-
-    Validates the DAG first (:func:`~repro.dispatch.dag.validate_pipeline`:
-    unique names, known kinds, covered artifact references, no cycles)
-    and returns the topological order — purely informational, since the
-    broker's dependency gating orders execution at claim time.
-    """
-    order = validate_pipeline(tasks)
-    broker = QueueBroker(sweep_dir)
-    broker.init_queue()
-    for task in tasks:
-        broker.enqueue(task)
-    return order
-
-
 def wait_for_queue(sweep_dir: str, timeout: Optional[float] = None,
                    poll_interval: float = 0.5) -> bool:
     """Block until the queue settles (nothing pending or leased).
 
-    Runs the reaper and the DAG fast-fail sweep on every poll, so a
-    sweep whose last worker died still converges: the coordinator
-    itself expires the orphaned lease and (once attempts run out)
-    dead-letters the cell.  Returns ``True`` when settled, ``False`` on
-    timeout.
+    Runs the reaper on every poll, so a sweep whose last worker died
+    still converges: the coordinator itself expires the orphaned lease
+    and (once attempts run out) dead-letters the cell.  Returns ``True``
+    when settled, ``False`` on timeout.
     """
     broker = QueueBroker(sweep_dir)
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
         broker.reap_expired()
-        broker.fail_fast_descendants()
         if broker.settled():
             return True
         if deadline is not None and time.monotonic() > deadline:
@@ -119,16 +95,13 @@ def wait_for_queue(sweep_dir: str, timeout: Optional[float] = None,
 def collect_results(sweep_dir: str) -> List[RunResult]:
     """Merge a settled queue back into the sweep's canonical records.
 
-    For every experiment cell in the queue: ``done`` records become
+    For every cell in the queue: ``done`` records become
     :class:`RunResult` objects straight from their stored summaries,
     and ``dead`` records become failed results — stamping a failure
     record into the cell's run directory when the dead cell left no
-    terminal status of its own (e.g. it never got to run because an
-    ancestor died).  The ``sweep.json`` manifest statuses are updated
-    and :func:`~repro.api.sweep.aggregate_results` writes the usual
-    aggregation artifacts, so downstream tooling cannot tell a
-    dispatched sweep from a local one.  Non-experiment (pipeline)
-    tasks are skipped here — their outcomes live in the queue records.
+    terminal status of its own (e.g. its worker was killed on every
+    attempt).  The ``sweep.json`` manifest statuses are updated, so
+    downstream tooling cannot tell a dispatched sweep from a local one.
     """
     broker = QueueBroker(sweep_dir)
     results: List[RunResult] = []
@@ -137,7 +110,7 @@ def collect_results(sweep_dir: str) -> List[RunResult]:
         for state in (DONE, DEAD):
             for name in broker.names(state):
                 task = broker.read_task(state, name)
-                if task is None or task.get("kind") != "experiment":
+                if task is None:
                     continue
                 run_dir = os.path.join(sweep_dir, name)
                 if state == DONE:
@@ -161,12 +134,6 @@ def collect_results(sweep_dir: str) -> List[RunResult]:
         if manifest_cells:
             merge_sweep_manifest(sweep_dir, manifest_cells, workers=None)
     return results
-
-
-def dispatch_report(sweep_dir: str,
-                    metric: Optional[str] = None) -> SweepReport:
-    """Aggregate a collected dispatched sweep (results.csv, best cell)."""
-    return aggregate_results(sweep_dir, metric=metric)
 
 
 def launch_worker(sweep_dir: str, worker_id: Optional[str] = None,

@@ -13,22 +13,19 @@ Broker layout
 ::
 
     <sweep_dir>/queue/
-      pending/<cell>.json   # runnable (or dependency-blocked) tasks
+      pending/<cell>.json   # runnable (or backing-off) tasks
       leased/<cell>.json    # claimed by a worker; carries the lease
       done/<cell>.json      # finished tasks + their result summaries
-      dead/<cell>.json      # dead-lettered after max_attempts (or an
-                            # ancestor's death) — terminal failures
+      dead/<cell>.json      # dead-lettered after max_attempts —
+                            # terminal failures
       failed/<cell>.attempt-N.json   # per-attempt failure archive
       DRAIN                 # sentinel: workers exit at the next loop
       .clock                # mtime probe backing broker_now()
 
 Task files carry the ``dispatch-task/v1`` schema: the cell ``name``,
-its ``kind`` (resolved through the ``dispatch_task`` component
-registry — ``"experiment"`` payloads are plain
-:class:`~repro.api.ExperimentSpec` dicts, the sweep engine's existing
-wire format), declarative dependencies (``after: [cell names]``),
-``attempts`` / ``max_attempts`` retry bookkeeping and, once claimed,
-the ``lease``.
+its ``payload`` (a plain :class:`~repro.api.ExperimentSpec` dict, the
+sweep engine's existing wire format), ``attempts`` / ``max_attempts``
+retry bookkeeping and, once claimed, the ``lease``.
 
 State transitions are single atomic renames: claiming a cell is
 ``pending/x.json -> leased/x.json`` (two racing workers cannot both
@@ -60,7 +57,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import counter, span
 
@@ -124,23 +121,17 @@ def _write_json_atomic(path: str, payload: Dict) -> str:
     return path
 
 
-def make_task(name: str, payload: Dict, kind: str = "experiment",
-              after: Iterable[str] = (),
+def make_task(name: str, payload: Dict,
               max_attempts: int = DEFAULT_MAX_ATTEMPTS,
               retry_backoff: float = DEFAULT_RETRY_BACKOFF) -> Dict:
     """Build one ``dispatch-task/v1`` payload (not yet enqueued).
 
-    ``payload`` is the kind-specific work description — for the default
-    ``"experiment"`` kind, a plain :class:`~repro.api.ExperimentSpec`
-    dict (the sweep engine's wire format, unchanged).  ``after`` names
-    the cells whose ``done`` records must exist before this one becomes
-    claimable; an ancestor that dead-letters fast-fails this task
-    instead (see :meth:`QueueBroker.fail_fast_descendants`).
+    ``payload`` is a plain :class:`~repro.api.ExperimentSpec` dict (the
+    sweep engine's wire format, unchanged).
     """
     if int(max_attempts) < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    return {"schema": TASK_SCHEMA, "name": str(name), "kind": str(kind),
-            "payload": payload, "after": sorted(set(after)),
+    return {"schema": TASK_SCHEMA, "name": str(name), "payload": payload,
             "attempts": 0, "max_attempts": int(max_attempts),
             "retry_backoff": float(retry_backoff), "not_before": None,
             "lease": None, "result": None, "error": None}
@@ -260,33 +251,21 @@ class QueueBroker:
     # claiming + leases
     # ------------------------------------------------------------------ #
 
-    def deps_done(self, task: Dict) -> bool:
-        """Whether every ``after`` dependency has a ``done`` record."""
-        return all(os.path.exists(self._path(DONE, dep))
-                   for dep in task.get("after", ()))
-
-    def deps_dead(self, task: Dict) -> List[str]:
-        """The ``after`` dependencies that have been dead-lettered."""
-        return [dep for dep in task.get("after", ())
-                if os.path.exists(self._path(DEAD, dep))]
-
     def claim(self, worker_id: str,
               ttl: float = DEFAULT_LEASE_TTL) -> Optional[Dict]:
         """Claim the next runnable pending task for ``worker_id``.
 
-        Runs the reaper and the DAG fast-fail sweep first (any worker
-        may do either — both are idempotent), then scans ``pending/``
-        in sorted order and takes the first task whose dependencies are
-        all ``done`` and whose retry backoff has elapsed.  The claim
-        itself is one atomic rename into ``leased/``; the winner then
-        stamps the lease (worker id, host, pid, TTL, deadline).
+        Runs the reaper first (any worker may — it is idempotent), then
+        scans ``pending/`` in sorted order and takes the first task
+        whose retry backoff has elapsed.  The claim itself is one
+        atomic rename into ``leased/``; the winner then stamps the
+        lease (worker id, host, pid, TTL, deadline).
         Returns the claimed task, or ``None`` when nothing is runnable
         right now.
         """
         self._require_queue()
         with span("dispatch.claim", worker=worker_id):
             self.reap_expired()
-            self.fail_fast_descendants()
             now = self.broker_now()
             for name in self.names(PENDING):
                 task = self._read(PENDING, name)
@@ -294,8 +273,6 @@ class QueueBroker:
                     continue
                 not_before = task.get("not_before")
                 if not_before is not None and now < not_before:
-                    continue
-                if not self.deps_done(task):
                     continue
                 try:
                     os.rename(self._path(PENDING, name),
@@ -344,11 +321,9 @@ class QueueBroker:
     def ack_done(self, name: str, result: Optional[Dict] = None) -> Dict:
         """Record ``name`` as finished; moves it to ``done/``.
 
-        ``result`` (the cell's JSON result summary —
-        :meth:`repro.api.RunResult.summary` for experiment cells) rides
-        along in the done record: it is both the audit trail and the
-        artifact hand-off channel DAG descendants resolve
-        ``@artifact:`` references against.  The done record is written
+        ``result`` (the cell's JSON result summary,
+        :meth:`repro.api.RunResult.summary`) rides along in the done
+        record as the audit trail.  The done record is written
         *before* the lease file is removed, so a crash between the two
         leaves a duplicate the reaper cleans up — never a lost result.
         """
@@ -399,8 +374,7 @@ class QueueBroker:
         way.  While attempts remain, the task re-enters ``pending/``
         with ``not_before`` pushed out by the exponential backoff (on
         the broker clock); once ``max_attempts`` is exhausted it moves
-        to ``dead/``, where the DAG fast-fail sweep will also kill its
-        descendants, keeping ``result`` (the failed summary, if any).
+        to ``dead/``, keeping ``result`` (the failed summary, if any).
         Single-winner: the task file is atomically detached first, so a
         worker acking its own crash and a reaper expiring the same lease
         cannot both count an attempt.  Returns the updated task.
@@ -474,7 +448,7 @@ class QueueBroker:
         return True
 
     # ------------------------------------------------------------------ #
-    # the reaper + DAG fast-fail
+    # the reaper
     # ------------------------------------------------------------------ #
 
     def lease_expired(self, task: Dict, now_wall: Optional[float] = None,
@@ -605,40 +579,6 @@ class QueueBroker:
                 except (FileNotFoundError, OSError):
                     pass
 
-    def fail_fast_descendants(self) -> List[str]:
-        """Dead-letter pending tasks whose ancestors are dead; cascades.
-
-        A cell that can never run (an ``after`` dependency dead-
-        lettered) is moved straight to ``dead/`` without burning
-        attempts, and the sweep repeats until a fixpoint so a whole
-        downstream chain fails fast in one call.
-        """
-        failed = []
-        while True:
-            progressed = False
-            for name in self.names(PENDING):
-                task = self._read(PENDING, name)
-                if task is None:
-                    continue
-                dead_deps = self.deps_dead(task)
-                if not dead_deps:
-                    continue
-                task["error"] = ("ancestor dead-lettered: "
-                                 + ", ".join(sorted(dead_deps)))
-                task["lease"] = None
-                _write_json_atomic(self._path(DEAD, name), task)
-                try:
-                    os.unlink(self._path(PENDING, name))
-                except FileNotFoundError:
-                    pass
-                counter("dispatch.dead_letters",
-                        help="cells dead-lettered after max_attempts"
-                        ).inc()
-                failed.append(name)
-                progressed = True
-            if not progressed:
-                return failed
-
     # ------------------------------------------------------------------ #
     # drain + status
     # ------------------------------------------------------------------ #
@@ -662,25 +602,23 @@ class QueueBroker:
         """One structured snapshot of the whole queue (for sweep-status).
 
         Returns counts per state plus per-cell detail: lease ages and
-        owners, attempt counts, DAG readiness of pending cells (ready /
-        blocked-on), and dead-letter errors.  Read-only — the snapshot
-        never mutates queue state, so it is safe against a live sweep.
+        owners, attempt counts, whether each pending cell is ready or
+        waiting out a retry backoff, and dead-letter errors.  The only
+        write is the ``.clock`` probe behind :meth:`broker_now`; no task
+        state changes, so it is safe against a live sweep.
         """
         self._require_queue()
         now_wall = time.time()
+        now_broker = self.broker_now()
         pending, leases, dead = [], [], []
         for name in self.names(PENDING):
             task = self._read(PENDING, name) or {}
-            blocked_on = [dep for dep in task.get("after", ())
-                          if not os.path.exists(self._path(DONE, dep))]
             not_before = task.get("not_before")
-            waiting = (not_before is not None
-                       and self.broker_now() < not_before)
+            waiting = not_before is not None and now_broker < not_before
             pending.append({"name": name,
                             "attempts": task.get("attempts", 0),
-                            "ready": not blocked_on and not waiting,
-                            "blocked_on": blocked_on,
-                            "backoff_wait": bool(waiting)})
+                            "ready": not waiting,
+                            "backoff_wait": waiting})
         for name in self.names(LEASED):
             task = self._read(LEASED, name) or {}
             lease = task.get("lease") or {}

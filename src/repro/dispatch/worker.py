@@ -3,11 +3,10 @@
 One worker is one process — started as ``repro worker <sweep_dir>`` on
 any machine that mounts the sweep directory, or in-process for tests via
 :meth:`DispatchWorker.run`.  The loop is deliberately dumb: claim the
-next runnable task from the broker, execute it through its registered
-kind (:mod:`repro.dispatch.dag`), ack the outcome, repeat.  All
-scheduling intelligence (dependency gating, retries, lease reaping,
-dead-lettering) lives in the broker, so adding workers never adds
-coordination state.
+next runnable cell from the broker, run its spec through
+:func:`repro.api.run_cell`, ack the outcome, repeat.  All scheduling
+intelligence (retries, lease reaping, dead-lettering) lives in the
+broker, so adding workers never adds coordination state.
 
 Liveness is the worker process: while a task executes, a keepalive
 thread renews its queue lease every third of the TTL, so dataset loads,
@@ -16,8 +15,8 @@ however rarely the cell heartbeats.  A worker that dies (or is frozen)
 stops renewing, its lease goes stale on both the wall and broker
 clocks, and the reaper hands the cell to someone else.
 
-Crash-safety of the work itself is idempotence: before running an
-experiment cell the worker checks whether the run directory already
+Crash-safety of the work itself is idempotence: before running a cell
+the worker checks whether the run directory already
 validates as complete for the task's spec (a previous owner finished
 but died before acking) and, if so, acks the persisted summary without
 re-training; a half-written directory from a killed owner is cleared
@@ -35,10 +34,9 @@ import time
 import traceback as _traceback
 from typing import Dict, Optional
 
-from ..api.experiment import RunResult
+from ..api.experiment import RunResult, run_cell
 from ..api.rundir import run_dir_is_complete
 from ..obs import counter, set_process_label, span
-from .dag import resolve_artifacts, task_kinds
 from .queue import DEFAULT_LEASE_TTL, QueueBroker
 
 #: seconds between queue scans when nothing is claimable
@@ -139,9 +137,9 @@ class DispatchWorker:
         keepalive.start()
         try:
             try:
-                with span("dispatch.task", cell=name, kind=task["kind"],
+                with span("dispatch.task", cell=name,
                           worker=self.worker_id):
-                    summary = self._execute_inner(task)
+                    summary = self._run_cell(task)
             finally:
                 # stopped before any ack, so no renewal can rewrite the
                 # lease file after the ack has moved the task on
@@ -192,20 +190,8 @@ class DispatchWorker:
                     help="acks dropped because the lease was reaped "
                     "mid-task").inc()
 
-    def _execute_inner(self, task: Dict) -> Dict:
-        """Dispatch to the task kind's executor; returns its summary."""
-        executor = task_kinds().get(task["kind"])
-        payload = resolve_artifacts(self.broker, task["payload"])
-        run_dir = self.run_dir_for(task["name"])
-        if task["kind"] == "experiment":
-            return self._run_experiment(executor, payload, run_dir,
-                                        verbose=task.get("verbose"))
-        os.makedirs(run_dir, exist_ok=True)
-        return executor(payload, run_dir)
-
-    def _run_experiment(self, executor, spec_dict: Dict, run_dir: str,
-                        verbose: Optional[bool] = None) -> Dict:
-        """Run (or adopt) one experiment cell in its run directory.
+    def _run_cell(self, task: Dict) -> Dict:
+        """Run (or adopt) one cell in its run directory; returns its summary.
 
         Adoption first: a directory that already validates as complete
         for this spec came from a previous owner that finished the
@@ -215,6 +201,8 @@ class DispatchWorker:
         so the re-run starts from a clean claim, exactly like the sweep
         engine's resume path.
         """
+        spec_dict = task["payload"]
+        run_dir = self.run_dir_for(task["name"])
         if os.path.isdir(run_dir):
             if run_dir_is_complete(run_dir, spec_dict):
                 counter("dispatch.adoptions",
@@ -223,5 +211,5 @@ class DispatchWorker:
                 return RunResult.load(run_dir).summary()
             shutil.rmtree(run_dir)
         os.makedirs(run_dir)
-        return executor(spec_dict, run_dir, verbose=verbose,
+        return run_cell(spec_dict, run_dir, verbose=task.get("verbose"),
                         dataset_cache=self._dataset_cache)

@@ -282,6 +282,25 @@ class TestRunSweepEngine:
         assert main(["run", path]) == 2
         assert "empty spec list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, names", [
+        ({"model": "biasmf", "dataset": "tiny",
+          "train_config": {"propagate_every": 3}}, "propagate_every"),
+        ([{"dataset": "tiny"}], "model"),
+        ("{not json", "Expecting"),
+    ])
+    def test_run_bad_spec_is_one_line_error(self, tmp_path, capsys,
+                                            payload, names):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            if isinstance(payload, str):
+                fh.write(payload)
+            else:
+                json.dump(payload, fh)
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{path}: ")
+        assert names in err
+
 
 class TestTrace:
     """`repro trace` — summarize a Chrome-format trace.json."""

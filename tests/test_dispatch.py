@@ -12,9 +12,6 @@ Acceptance contract of the dispatch PR:
   (``run_dir_fingerprint``) to the sequential ``run_sweep`` baseline —
   including when a worker is SIGKILLed mid-cell and its cell retries on
   another worker (the chaos test);
-* DAG cells gate on ``done`` dependencies, hand artifacts downstream
-  through ``@artifact:`` references, and fast-fail descendants when an
-  ancestor dead-letters;
 * the heartbeat satellites: configurable cadence
   (``TrainConfig.heartbeat_seconds`` / ``REPRO_HEARTBEAT_SECONDS``), the
   monotonic-safe timestamp pair, the listener hook, and the
@@ -31,16 +28,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import (Experiment, ExperimentSpec, expand_grid,
-                       read_sweep_manifest, run_dir_fingerprint, run_sweep)
+from repro.api import (Experiment, ExperimentSpec, aggregate_results,
+                       expand_grid, read_sweep_manifest, run_dir_fingerprint,
+                       run_sweep)
 from repro.api.rundir import heartbeat_cadence, read_status, write_heartbeat
 from repro.cli import main as cli_main
-from repro.dispatch import (DEAD, DONE, LEASED, PENDING, DispatchWorker,
-                            QueueBroker, collect_results, dispatch_report,
-                            enqueue_pipeline, enqueue_sweep, launch_worker,
-                            make_task, parse_artifact_ref,
-                            resolve_artifacts, task_kinds,
-                            validate_pipeline, wait_for_queue)
+from repro.dispatch import (DEAD, DONE, FAILED, LEASED, PENDING,
+                            DispatchWorker, QueueBroker, collect_results,
+                            enqueue_sweep, launch_worker, make_task,
+                            wait_for_queue)
 
 FAST_TRAIN = {"epochs": 2, "batch_size": 128, "eval_every": 2}
 
@@ -112,6 +108,14 @@ class TestBroker:
         with pytest.raises(ValueError, match="max_attempts"):
             make_task("a", {}, max_attempts=0)
 
+    def test_make_task_record_carries_only_the_cell_fields(self):
+        task = make_task("a", {"x": 1}, max_attempts=2, retry_backoff=0.5)
+        assert task == {"schema": "dispatch-task/v1", "name": "a",
+                        "payload": {"x": 1}, "attempts": 0,
+                        "max_attempts": 2, "retry_backoff": 0.5,
+                        "not_before": None, "lease": None,
+                        "result": None, "error": None}
+
     def test_renew_refreshes_lease_and_checks_ownership(self, tmp_path):
         broker = QueueBroker(str(tmp_path))
         broker.enqueue(make_task("a", {}))
@@ -163,6 +167,18 @@ class TestBroker:
             json.dump(task, handle)
         assert broker.claim("w2")["name"] == "a"
 
+    def test_backing_off_cell_does_not_block_a_ready_one(self, tmp_path):
+        broker = QueueBroker(str(tmp_path))
+        broker.enqueue(make_task("a", {}, retry_backoff=30.0))
+        broker.claim("w1")
+        broker.ack_failed("a", "boom")          # "a" sorts first, waits
+        broker.enqueue(make_task("b", {}))
+        assert [(cell["name"], cell["ready"])
+                for cell in broker.status()["pending"]] == \
+            [("a", False), ("b", True)]
+        assert broker.claim("w2")["name"] == "b"
+        assert broker.claim("w2") is None
+
     def test_dead_letter_after_max_attempts(self, tmp_path):
         broker = QueueBroker(str(tmp_path))
         broker.enqueue(make_task("a", {}, max_attempts=2,
@@ -193,19 +209,29 @@ class TestBroker:
         assert broker.names(LEASED) == []
         assert broker.names(DONE) == ["a"]
 
-    def test_drain_sentinel_and_status_snapshot(self, tmp_path):
+    def test_drain_sentinel_and_status_snapshot(self, tmp_path,
+                                                monkeypatch):
         broker = QueueBroker(str(tmp_path))
-        broker.enqueue(make_task("a", {}))
-        broker.enqueue(make_task("b", {}, after=["a"]))
+        for name in ("a", "b"):
+            broker.enqueue(make_task(name, {}, retry_backoff=30.0))
+            broker.claim("w0")
+            broker.ack_failed(name, "boom")     # backing off for ~30 s
+        broker.enqueue(make_task("c", {}))
         broker.claim("w1", ttl=9.0)
+        clock_reads = []
+        now = broker.broker_now
+        monkeypatch.setattr(broker, "broker_now",
+                            lambda: clock_reads.append(1) or now())
         status = broker.status()
-        assert status["counts"] == {"pending": 1, "leased": 1,
+        assert len(clock_reads) == 1            # one clock read per call
+        assert status["counts"] == {"pending": 2, "leased": 1,
                                     "done": 0, "dead": 0}
         (lease,) = status["leases"]
+        assert lease["name"] == "c"
         assert lease["worker"] == "w1" and lease["ttl"] == 9.0
-        (cell,) = status["pending"]
-        assert cell["name"] == "b" and not cell["ready"]
-        assert cell["blocked_on"] == ["a"]
+        assert [(cell["name"], cell["ready"], cell["backoff_wait"],
+                 cell["attempts"]) for cell in status["pending"]] == \
+            [("a", False, True, 1), ("b", False, True, 1)]
         assert not status["drain_requested"]
         broker.drain()
         assert broker.drain_requested()
@@ -256,83 +282,6 @@ class TestBroker:
 
 
 # --------------------------------------------------------------------- #
-# DAG gating, artifact references, pipeline validation
-# --------------------------------------------------------------------- #
-
-class TestDag:
-    def test_dependency_gates_claiming(self, tmp_path):
-        broker = QueueBroker(str(tmp_path))
-        broker.enqueue(make_task("up", {}))
-        broker.enqueue(make_task("down", {}, after=["up"]))
-        first = broker.claim("w1")
-        assert first["name"] == "up"
-        assert broker.claim("w1") is None        # down is gated
-        broker.ack_done("up", {"status": "completed", "artifacts": {}})
-        assert broker.claim("w1")["name"] == "down"
-
-    def test_dead_ancestor_fast_fails_whole_chain(self, tmp_path):
-        broker = QueueBroker(str(tmp_path))
-        broker.enqueue(make_task("a", {}, max_attempts=1))
-        broker.enqueue(make_task("b", {}, after=["a"]))
-        broker.enqueue(make_task("c", {}, after=["b"]))
-        broker.claim("w1")
-        broker.ack_failed("a", "boom")           # max_attempts=1 -> dead
-        assert broker.names(DEAD) == ["a"]
-        failed = broker.fail_fast_descendants()
-        assert sorted(failed) == ["b", "c"]      # cascades transitively
-        assert "ancestor dead-lettered" in \
-            broker.read_task(DEAD, "b")["error"]
-        assert "ancestor dead-lettered" in \
-            broker.read_task(DEAD, "c")["error"]
-        assert broker.settled()
-
-    def test_artifact_ref_parse_and_resolve(self, tmp_path):
-        assert parse_artifact_ref("plain") is None
-        assert parse_artifact_ref(42) is None
-        ref = parse_artifact_ref("@artifact:train:snapshot")
-        assert ref == {"cell": "train", "role": "snapshot"}
-        with pytest.raises(ValueError, match="malformed"):
-            parse_artifact_ref("@artifact:nocolon")
-        broker = QueueBroker(str(tmp_path))
-        broker.enqueue(make_task("train", {}))
-        broker.claim("w1")
-        broker.ack_done("train", {"status": "completed",
-                                  "artifacts": {"snapshot": "/x.npz"}})
-        payload = {"a": "@artifact:train:snapshot",
-                   "nested": ["@artifact:train:snapshot", 7]}
-        resolved = resolve_artifacts(broker, payload)
-        assert resolved == {"a": "/x.npz", "nested": ["/x.npz", 7]}
-        with pytest.raises(KeyError, match="no done record"):
-            resolve_artifacts(broker, "@artifact:ghost:snapshot")
-        with pytest.raises(KeyError, match="published no"):
-            resolve_artifacts(broker, "@artifact:train:checkpoint")
-
-    def test_validate_pipeline_rejects_bad_dags(self):
-        ok = [make_task("a", {}),
-              make_task("b", {"s": "@artifact:a:snapshot"},
-                        kind="snapshot", after=["a"])]
-        assert validate_pipeline(ok) == ["a", "b"]
-        with pytest.raises(ValueError, match="duplicate"):
-            validate_pipeline([make_task("a", {}), make_task("a", {})])
-        with pytest.raises(ValueError, match="unknown task"):
-            validate_pipeline([make_task("a", {}, after=["ghost"])])
-        with pytest.raises(ValueError, match="unregistered kind"):
-            validate_pipeline([make_task("a", {}, kind="teleport")])
-        with pytest.raises(ValueError, match="cycle"):
-            validate_pipeline([make_task("a", {}, after=["b"]),
-                               make_task("b", {}, after=["a"])])
-        with pytest.raises(ValueError, match="does not list it"):
-            validate_pipeline([make_task("a", {}),
-                               make_task("b",
-                                         {"s": "@artifact:a:snapshot"})])
-
-    def test_builtin_task_kinds_registered(self):
-        registry = task_kinds()
-        for kind in ("experiment", "snapshot", "serving_eval"):
-            assert kind in registry
-
-
-# --------------------------------------------------------------------- #
 # dispatched sweeps: parity, retries, merge
 # --------------------------------------------------------------------- #
 
@@ -358,7 +307,7 @@ class TestDispatchedSweep:
         # statuses merged, aggregation artifacts written
         manifest = read_sweep_manifest(disp_dir)
         assert {c["status"] for c in manifest["cells"]} == {"completed"}
-        report = dispatch_report(disp_dir)
+        report = aggregate_results(disp_dir)
         assert os.path.exists(report.artifacts["results_csv"])
 
     def test_failed_cell_retries_then_dead_letters(self, tmp_path):
@@ -380,6 +329,57 @@ class TestDispatchedSweep:
         assert status["status"] == "failed"
         manifest = read_sweep_manifest(disp_dir)
         assert manifest["cells"][0]["status"] == "failed"
+
+    def test_non_spec_task_fails_the_spec_check_then_dead_letters(
+            self, tmp_path):
+        # a task file from an older queue format: its payload is not an
+        # ExperimentSpec, so run_cell fails it like any other bad cell
+        broker = QueueBroker(str(tmp_path))
+        task = make_task("publish", {"source": "a.npz", "path": "b.npz"},
+                         max_attempts=2, retry_backoff=0.0)
+        broker.enqueue(dict(task, kind="snapshot", after=["train"]))
+        assert _drain_worker(tmp_path).run() == 2
+        dead = broker.read_task(DEAD, "publish")
+        assert dead["attempts"] == 2
+        assert "unknown ExperimentSpec field" in dead["error"]
+
+    def test_worker_hands_the_payload_straight_to_run_cell(
+            self, tmp_path, monkeypatch):
+        import repro.dispatch.worker as worker_module
+        calls = []
+
+        def fake_run_cell(spec_dict, run_dir, verbose=None,
+                          dataset_cache=None):
+            calls.append((spec_dict, run_dir, os.path.isdir(run_dir)))
+            return {"status": "completed", "metrics": {"x": 1.0}}
+
+        monkeypatch.setattr(worker_module, "run_cell", fake_run_cell)
+        broker = QueueBroker(str(tmp_path))
+        broker.enqueue(make_task("cell", {"model": "biasmf"}))
+        assert _drain_worker(tmp_path).run() == 1
+        assert calls == [({"model": "biasmf"},
+                          os.path.join(str(tmp_path), "cell"), True)]
+        assert broker.read_task(DONE, "cell")["result"]["metrics"] == \
+            {"x": 1.0}
+
+    def test_raising_cell_is_acked_failed_with_its_traceback(
+            self, tmp_path, monkeypatch):
+        import repro.dispatch.worker as worker_module
+
+        def exploding_run_cell(spec_dict, run_dir, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(worker_module, "run_cell", exploding_run_cell)
+        broker = QueueBroker(str(tmp_path))
+        broker.enqueue(make_task("cell", {}, max_attempts=1))
+        assert _drain_worker(tmp_path).run() == 1
+        dead = broker.read_task(DEAD, "cell")
+        assert dead["error"] == "RuntimeError: disk on fire"
+        assert broker.names(LEASED) == []
+        with open(os.path.join(broker.queue_dir, FAILED,
+                               "cell.attempt-1.json")) as handle:
+            archived = json.load(handle)
+        assert "disk on fire" in archived["traceback"]
 
     def test_completed_run_dir_is_adopted_not_rerun(self, tmp_path):
         # previous owner finished the work but died before acking: the
@@ -549,22 +549,35 @@ class TestCli:
         disp_dir = str(tmp_path)
         broker = QueueBroker(disp_dir)
         broker.enqueue(make_task("cell-a", {}, max_attempts=1))
-        broker.enqueue(make_task("gated", {}, after=["cell-a"]))
-        broker.claim("w1", ttl=9.0)
+        broker.enqueue(make_task("retrying", {}, max_attempts=2,
+                                 retry_backoff=3600.0))
+        broker.claim("w1", ttl=9.0)                # claims cell-a
+        broker.claim("w2")                         # claims retrying ...
+        broker.ack_failed("retrying", "boom once")  # ... backs off 1 h
         assert cli_main(["sweep-status", disp_dir]) == 0
         out = capsys.readouterr().out
         assert "1 pending, 1 leased" in out
         assert "w1" in out                         # lease owner shown
-        assert "after cell-a" in out               # DAG readiness shown
-        # dead-letter the leased cell: exit code flips to 1 and the
-        # descendant fast-fails into the dead list too
+        assert "retrying: retry backoff (attempt 2)" in out
+        # dead-letter the leased cell: exit code flips to 1
         broker.ack_failed("cell-a", "boom final")
-        broker.fail_fast_descendants()
         assert cli_main(["sweep-status", disp_dir]) == 1
         out = capsys.readouterr().out
         assert "dead letters" in out
         assert "boom final" in out
-        assert "ancestor dead-lettered" in out
+
+    def test_cli_and_api_import_without_loading_dispatch(self):
+        # dispatch is imported lazily by the commands that need it
+        code = ("import sys, repro, repro.api, repro.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.dispatch')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_sweep_status_json_mode(self, tmp_path, capsys):
         disp_dir = str(tmp_path)
@@ -630,57 +643,3 @@ class TestChaos:
             assert run_dir_fingerprint(r_seq.run_dir) == \
                 run_dir_fingerprint(by_name[name].run_dir), name
             assert r_seq.metrics == by_name[name].metrics
-
-
-# --------------------------------------------------------------------- #
-# 3-stage DAG acceptance: train -> snapshot -> serving-eval
-# --------------------------------------------------------------------- #
-
-class TestPipelineAcceptance:
-    def test_three_stage_pipeline_hands_artifacts_downstream(self,
-                                                             tmp_path):
-        sweep_dir = str(tmp_path)
-        spec = _fast_spec(artifacts={"snapshot": "serve.npz"})
-        published = os.path.join(sweep_dir, "published.npz")
-        tasks = [
-            make_task("train", spec.to_dict()),
-            make_task("publish", {"source": "@artifact:train:snapshot",
-                                  "path": published},
-                      kind="snapshot", after=["train"]),
-            make_task("serve-eval",
-                      {"snapshot": "@artifact:publish:snapshot",
-                       "users": [0, 1, 2], "k": 5},
-                      kind="serving_eval", after=["publish"]),
-        ]
-        assert enqueue_pipeline(tasks, sweep_dir) == \
-            ["train", "publish", "serve-eval"]
-        assert _drain_worker(sweep_dir).run() == 3
-        broker = QueueBroker(sweep_dir)
-        assert sorted(broker.names(DONE)) == \
-            ["publish", "serve-eval", "train"]
-        # the downstream cell consumed the upstream artifact chain
-        assert os.path.exists(published)
-        record = broker.read_task(DONE, "serve-eval")
-        recs_path = record["result"]["artifacts"]["recommendations"]
-        with open(recs_path) as handle:
-            served = json.load(handle)
-        assert sorted(served["recommendations"]) == ["0", "1", "2"]
-        assert all(len(v) == 5 for v in served["recommendations"].values())
-
-    def test_dead_train_stage_fast_fails_pipeline(self, tmp_path):
-        sweep_dir = str(tmp_path)
-        crashing = _fast_spec(train_config={**FAST_TRAIN,
-                                            "fail_after_epoch": 1})
-        tasks = [
-            make_task("train", crashing.to_dict(), max_attempts=1),
-            make_task("publish", {"source": "@artifact:train:snapshot",
-                                  "path": os.path.join(sweep_dir, "p.npz")},
-                      kind="snapshot", after=["train"]),
-        ]
-        enqueue_pipeline(tasks, sweep_dir)
-        _drain_worker(sweep_dir).run()
-        assert wait_for_queue(sweep_dir, timeout=5.0)
-        broker = QueueBroker(sweep_dir)
-        assert sorted(broker.names(DEAD)) == ["publish", "train"]
-        assert "ancestor dead-lettered" in \
-            broker.read_task(DEAD, "publish")["error"]
